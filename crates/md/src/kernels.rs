@@ -23,62 +23,22 @@
 //! design exists to rule out. The chunk size and bucket count affect only
 //! wall-clock, never results.
 
-use serde::{Deserialize, Serialize};
 use tofumd_threadpool::ChunkExec;
 
 /// Rows per dispatch chunk for neighbor builds and force passes.
 pub const CHUNK_ROWS: usize = 256;
 
-/// Lanes per block in the blocked kernels: 8 × f64 fills one 512-bit SVE
+/// Lanes per block in the EAM row kernel: 8 × f64 fills one 512-bit SVE
 /// vector (the paper's A64FX target). Blocks are full-width only — the
 /// `len % LANE_WIDTH` remainder always runs the scalar tail — so the lane
 /// loops have constant trip counts the compiler can keep branch-free.
 pub const LANE_WIDTH: usize = 8;
 
-/// Which inner-loop implementation the force/density/neighbor kernels run.
-///
-/// Both modes are bit-identical at any `--threads`: the blocked path
-/// batches only the *per-pair* arithmetic (each lane performs the same
-/// IEEE-754 op sequence on its own pair's data as the scalar path), while
-/// every accumulation into `f`/`rho`, every log push, and every
-/// energy/virial fold still happens one pair at a time in neighbor order.
-/// `Scalar` stays the lockstep anchor; `Blocked` is the perf path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum KernelMode {
-    /// One pair at a time — the original reference inner loops.
-    #[default]
-    Scalar,
-    /// Fixed-width lane blocks (distance + cutoff mask per
-    /// [`LANE_WIDTH`]-wide group, deterministic scalar tail).
-    Blocked,
-}
-
-impl KernelMode {
-    /// Parse a `--kernel` flag value.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s {
-            "scalar" => Some(KernelMode::Scalar),
-            "blocked" => Some(KernelMode::Blocked),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (bench row labels, report lines).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Blocked => "blocked",
-        }
-    }
-}
-
 /// Gather one [`LANE_WIDTH`]-wide block of candidate pairs: for each lane
 /// `k`, the displacement `xi - x[idx[k]]` and its squared norm, computed
-/// with exactly the scalar kernels' op sequence (`d0*d0 + d1*d1 + d2*d2`,
+/// with exactly the serial passes' op sequence (`d0*d0 + d1*d1 + d2*d2`,
 /// left-to-right) so an accepted lane's values are bit-identical to what
-/// the scalar path would have produced for that pair.
+/// the serial pass computes for that pair.
 #[inline]
 pub fn gather_dx_r2(
     xi: [f64; 3],
@@ -133,35 +93,94 @@ impl ChunkLog {
         }
         self.ev.clear();
     }
+}
 
-    /// Log `out[target] += delta` for a `[f64; 3]` output array whose
-    /// bucket width is `bs` (from [`bucket_size`] of the array length).
+/// The log a row kernel writes one row's updates into: a [`ChunkLog`] in
+/// a whole-pass driver, or a [`RowTagged`] split log in an overlap
+/// driver. Generic so each pass of a potential has a single row function
+/// shared by both drivers. `bs` is the bucket width of the target array.
+pub(crate) trait RowLog {
+    /// Log `out[target] += delta` for a `[f64; 3]` output array.
+    fn push_force(&mut self, bs: usize, target: u32, delta: [f64; 3]);
+    /// Log `out[target] += delta` for a scalar output array.
+    fn push_scalar(&mut self, bs: usize, target: u32, delta: f64);
+    /// Log a batch of pair energy/virial contributions in iteration order
+    /// (one reservation per batch instead of a capacity check per pair).
+    fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I);
+    /// Log one pair's energy and virial contribution.
+    fn push_ev(&mut self, energy: f64, virial: f64);
+}
+
+impl RowLog for ChunkLog {
     #[inline]
-    pub fn push_force(&mut self, bs: usize, target: u32, delta: [f64; 3]) {
+    fn push_force(&mut self, bs: usize, target: u32, delta: [f64; 3]) {
         debug_assert!(bs.is_power_of_two());
         self.vec_buckets[target as usize >> bs.trailing_zeros()].push((target, delta));
     }
 
-    /// Log `out[target] += delta` for a scalar output array.
     #[inline]
-    pub fn push_scalar(&mut self, bs: usize, target: u32, delta: f64) {
+    fn push_scalar(&mut self, bs: usize, target: u32, delta: f64) {
         debug_assert!(bs.is_power_of_two());
         self.scalar_buckets[target as usize >> bs.trailing_zeros()].push((target, delta));
     }
 
-    /// Log one pair's energy and virial contribution.
     #[inline]
-    pub fn push_ev(&mut self, energy: f64, virial: f64) {
-        self.ev.push((energy, virial));
-    }
-
-    /// Log a batch of pair energy/virial contributions in iteration order.
-    /// One reservation for the whole batch instead of a capacity check per
-    /// pair — the blocked kernels feed a slab at a time through this.
-    #[inline]
-    pub fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
+    fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
         self.ev.extend(evs);
     }
+
+    #[inline]
+    fn push_ev(&mut self, energy: f64, virial: f64) {
+        self.ev.push((energy, virial));
+    }
+}
+
+/// The rows of chunk `c` of a pass over `nlocal` rows.
+pub(crate) fn chunk_rows(c: usize, nlocal: usize) -> std::ops::Range<usize> {
+    let lo = c * CHUNK_ROWS;
+    lo..(lo + CHUNK_ROWS).min(nlocal)
+}
+
+/// Whole-pass driver: run `row(i, scr, log)` for every local row,
+/// chunk-parallel over `exec`. Each chunk logs into its own [`ChunkLog`]
+/// (in the serial pass's row order) with its own row scratch `S`, made
+/// once per chunk. Returns the logs for [`replay_forces`] /
+/// [`replay_scalars`] / [`fold_ev`].
+pub(crate) fn log_chunked<'s, S: Default>(
+    exec: &ChunkExec<'_>,
+    nlocal: usize,
+    scratch: &'s mut PairScratch,
+    row: impl Fn(usize, &mut S, &mut ChunkLog) + Sync,
+) -> &'s [ChunkLog] {
+    let chunks = scratch.prepare(nlocal.div_ceil(CHUNK_ROWS));
+    exec.for_each_mut(chunks, &|c, log| {
+        let mut scr = S::default();
+        for i in chunk_rows(c, nlocal) {
+            row(i, &mut scr, log);
+        }
+    });
+    chunks
+}
+
+/// Split-pass driver: [`log_chunked`] over the rows with
+/// `flags[i] == select` only, logging into that side of `scratch` with
+/// every entry tagged by its row (see [`SplitLog`]).
+pub(crate) fn log_split<S: Default>(
+    exec: &ChunkExec<'_>,
+    nlocal: usize,
+    flags: &[bool],
+    select: bool,
+    scratch: &mut SplitScratch,
+    row: impl Fn(usize, &mut S, &mut RowTagged<'_>) + Sync,
+) {
+    exec.for_each_mut(scratch.side_mut(select), &|c, log| {
+        let mut scr = S::default();
+        for i in chunk_rows(c, nlocal) {
+            if flags[i] == select {
+                row(i, &mut scr, &mut log.row(i as u32));
+            }
+        }
+    });
 }
 
 /// Reusable per-rank scratch for the chunked kernels: one [`ChunkLog`] per
@@ -301,39 +320,52 @@ impl SplitLog {
         &mut buckets[idx]
     }
 
-    /// Log `out[target] += delta` from neighbor row `row`.
+    /// The writer for neighbor row `row`'s updates.
     #[inline]
-    pub fn push_force(&mut self, bs: usize, row: u32, target: u32, delta: [f64; 3]) {
+    pub(crate) fn row(&mut self, row: u32) -> RowTagged<'_> {
+        RowTagged { log: self, row }
+    }
+}
+
+/// A [`SplitLog`] writing the updates of one neighbor row, each entry
+/// tagged with that row for the merged replay.
+pub(crate) struct RowTagged<'a> {
+    log: &'a mut SplitLog,
+    row: u32,
+}
+
+impl RowLog for RowTagged<'_> {
+    #[inline]
+    fn push_force(&mut self, bs: usize, target: u32, delta: [f64; 3]) {
         debug_assert!(bs.is_power_of_two());
-        Self::bucket(
-            &mut self.vec_buckets,
+        SplitLog::bucket(
+            &mut self.log.vec_buckets,
             target as usize >> bs.trailing_zeros(),
         )
-        .push((row, target, delta));
+        .push((self.row, target, delta));
     }
 
-    /// Scalar-array variant of [`SplitLog::push_force`].
     #[inline]
-    pub fn push_scalar(&mut self, bs: usize, row: u32, target: u32, delta: f64) {
+    fn push_scalar(&mut self, bs: usize, target: u32, delta: f64) {
         debug_assert!(bs.is_power_of_two());
-        Self::bucket(
-            &mut self.scalar_buckets,
+        SplitLog::bucket(
+            &mut self.log.scalar_buckets,
             target as usize >> bs.trailing_zeros(),
         )
-        .push((row, target, delta));
+        .push((self.row, target, delta));
     }
 
-    /// Log one pair's energy/virial contribution from row `row`.
     #[inline]
-    pub fn push_ev(&mut self, row: u32, energy: f64, virial: f64) {
-        self.ev.push((row, energy, virial));
+    fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, evs: I) {
+        let row = self.row;
+        self.log
+            .ev
+            .extend(evs.into_iter().map(|(e, v)| (row, e, v)));
     }
 
-    /// Batch variant of [`SplitLog::push_ev`]: log a slab of energy/virial
-    /// contributions from one row, in iteration order.
     #[inline]
-    pub fn extend_ev<I: IntoIterator<Item = (f64, f64)>>(&mut self, row: u32, evs: I) {
-        self.ev.extend(evs.into_iter().map(|(e, v)| (row, e, v)));
+    fn push_ev(&mut self, energy: f64, virial: f64) {
+        self.log.ev.push((self.row, energy, virial));
     }
 }
 
@@ -641,10 +673,10 @@ mod tests {
                 if interior[row as usize] != select {
                     continue;
                 }
-                let log = &mut logs[row as usize / CHUNK_ROWS];
-                log.push_force(bs, row, t, d);
-                log.push_scalar(bs, row, t, d[0]);
-                log.push_ev(row, e, v);
+                let mut log = logs[row as usize / CHUNK_ROWS].row(row);
+                log.push_force(bs, t, d);
+                log.push_scalar(bs, t, d[0]);
+                log.push_ev(e, v);
             }
         }
         // Each row pushed one ev entry per update; dedupe not needed —
@@ -669,8 +701,8 @@ mod tests {
         let mut scratch = SplitScratch::new();
         scratch.prepare(300);
         let bs = scratch.bs();
-        scratch.side_mut(true)[0].push_force(bs, 0, 1, [1.0; 3]);
-        scratch.side_mut(false)[1].push_ev(256, 2.0, 3.0);
+        scratch.side_mut(true)[0].row(0).push_force(bs, 1, [1.0; 3]);
+        scratch.side_mut(false)[1].row(256).push_ev(2.0, 3.0);
         scratch.prepare(300);
         let mut out = vec![[0.0f64; 3]; 300];
         replay_forces_split(&scratch, &mut out, &ChunkExec::Serial);

@@ -1,13 +1,14 @@
 //! Property tests for the deterministic chunk-parallel kernels.
 //!
 //! The contract under test: the chunked neighbor build and the chunked
-//! LJ/EAM passes are **bit-identical** to the serial seed kernels — same
-//! force bits, same energy/virial bits — at any thread count, with or
-//! without spatial sorting; and spatial sorting permutes atoms without
-//! changing which pairs exist.
+//! LJ/EAM passes (whose inner loops are the lane-blocked row kernels) are
+//! **bit-identical** to the scalar serial passes — same force bits, same
+//! energy/virial bits — at any thread count, with or without spatial
+//! sorting, and at every lane-remainder length; and spatial sorting
+//! permutes atoms without changing which pairs exist.
 
 use proptest::prelude::*;
-use tofumd_md::kernels::{KernelMode, PairScratch};
+use tofumd_md::kernels::PairScratch;
 use tofumd_md::neighbor::{sort_locals_by_bin, ListKind, NeighborList};
 use tofumd_md::potential::{EamCu, LjCut, ManyBodyPotential, PairPotential};
 use tofumd_md::Atoms;
@@ -25,9 +26,9 @@ fn cloud(nlocal: usize, nghost: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, 
 }
 
 /// A cloud whose local count sweeps every residue mod the lane width, so
-/// the blocked kernels exercise every scalar-tail length 0..=7 (and the
-/// random densities scatter per-row neighbor counts across all residues
-/// as well).
+/// the blocked row kernels exercise every scalar-tail length 0..=7 (and
+/// the random densities scatter per-row neighbor counts across all
+/// residues as well).
 fn lane_cloud(base: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, Vec<[f64; 3]>)> {
     (cloud(base + 7, 71), 0usize..8).prop_map(move |((mut l, mut g), res)| {
         l.truncate(base + res);
@@ -66,197 +67,103 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Chunked LJ forces/energy/virial are bitwise equal to the serial
-    /// kernel at 1, 2 and 8 threads, on sorted and unsorted input, and the
-    /// chunked list build reproduces the serial build exactly.
+    /// kernel at 1, 2 and 8 threads, on sorted and unsorted input, over a
+    /// plain cloud and a lane-remainder sweep, and the chunked list build
+    /// reproduces the serial build exactly.
     #[test]
-    fn lj_chunked_is_bitwise_serial(atoms_in in cloud(180, 90), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let lj = LjCut::lammps_bench();
-        let cell = 2.5 + 0.3;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3);
+    fn lj_chunked_is_bitwise_serial(
+        atoms_in in cloud(180, 90),
+        lane_in in lane_cloud(152),
+        sorted in any::<bool>(),
+    ) {
+        for (locals, ghosts) in [atoms_in, lane_in] {
+            let lj = LjCut::lammps_bench();
+            let cell = 2.5 + 0.3;
+            let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
+            let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3);
 
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let ref_ev = lj.compute(&mut ref_atoms, &list);
+            let mut ref_atoms = atoms0.clone();
+            ref_atoms.zero_forces();
+            let ref_ev = lj.compute(&mut ref_atoms, &list);
 
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            // The chunked build must reproduce the serial list verbatim.
-            let clist =
-                NeighborList::build_chunked(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3, &exec);
-            prop_assert_eq!(clist.npairs(), list.npairs());
-            for i in 0..atoms0.nlocal {
-                prop_assert_eq!(clist.neighbors(i), list.neighbors(i), "row {} threads {}", i, threads);
+            for threads in [1usize, 2, 8] {
+                let pool;
+                let exec = if threads == 1 {
+                    ChunkExec::Serial
+                } else {
+                    pool = SpinPool::new(threads);
+                    ChunkExec::Pool(&pool)
+                };
+                // The chunked build must reproduce the serial list verbatim.
+                let clist =
+                    NeighborList::build_chunked(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3, &exec);
+                prop_assert_eq!(clist.npairs(), list.npairs());
+                for i in 0..atoms0.nlocal {
+                    prop_assert_eq!(clist.neighbors(i), list.neighbors(i), "row {} threads {}", i, threads);
+                }
+
+                let mut atoms = atoms0.clone();
+                atoms.zero_forces();
+                let mut scratch = PairScratch::new();
+                let ev = lj.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
+                prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
+                prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
+                assert_forces_bitwise(&atoms, &ref_atoms, &format!("lj threads {threads} sorted {sorted}"));
             }
-
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let ev = lj.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("lj threads {threads} sorted {sorted}"));
         }
     }
 
     /// The three chunked EAM passes are bitwise equal to the serial ones
-    /// at 1, 2 and 8 threads.
+    /// at 1, 2 and 8 threads, over a plain cloud and a lane-remainder
+    /// sweep.
     #[test]
-    fn eam_chunked_is_bitwise_serial(atoms_in in cloud(140, 70), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let eam = EamCu::lammps_bench();
-        let cell = 4.95 + 1.0;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 4.95, 1.0);
+    fn eam_chunked_is_bitwise_serial(
+        atoms_in in cloud(140, 70),
+        lane_in in lane_cloud(120),
+        sorted in any::<bool>(),
+    ) {
+        for (locals, ghosts) in [atoms_in, lane_in] {
+            let eam = EamCu::lammps_bench();
+            let cell = 4.95 + 1.0;
+            let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
+            let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 4.95, 1.0);
 
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let mut ref_rho = Vec::new();
-        let mut ref_fp = Vec::new();
-        eam.compute_rho(&ref_atoms, &list, &mut ref_rho);
-        let ref_embed = eam.compute_embedding(&ref_atoms, &ref_rho, &mut ref_fp);
-        let ref_ev = eam.compute_force(&mut ref_atoms, &list, &ref_fp);
+            let mut ref_atoms = atoms0.clone();
+            ref_atoms.zero_forces();
+            let mut ref_rho = Vec::new();
+            let mut ref_fp = Vec::new();
+            eam.compute_rho(&ref_atoms, &list, &mut ref_rho);
+            let ref_embed = eam.compute_embedding(&ref_atoms, &ref_rho, &mut ref_fp);
+            let ref_ev = eam.compute_force(&mut ref_atoms, &list, &ref_fp);
 
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let mut rho = Vec::new();
-            let mut fp = Vec::new();
-            eam.compute_rho_chunked(&atoms, &list, &mut rho, &exec, &mut scratch);
-            prop_assert_eq!(rho.len(), ref_rho.len());
-            for (i, (a, b)) in rho.iter().zip(&ref_rho).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "rho atom {} threads {}", i, threads);
+            for threads in [1usize, 2, 8] {
+                let pool;
+                let exec = if threads == 1 {
+                    ChunkExec::Serial
+                } else {
+                    pool = SpinPool::new(threads);
+                    ChunkExec::Pool(&pool)
+                };
+                let mut atoms = atoms0.clone();
+                atoms.zero_forces();
+                let mut scratch = PairScratch::new();
+                let mut rho = Vec::new();
+                let mut fp = Vec::new();
+                eam.compute_rho_chunked(&atoms, &list, &mut rho, &exec, &mut scratch);
+                prop_assert_eq!(rho.len(), ref_rho.len());
+                for (i, (a, b)) in rho.iter().zip(&ref_rho).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "rho atom {} threads {}", i, threads);
+                }
+                let embed = eam.compute_embedding_chunked(&atoms, &rho, &mut fp, &exec);
+                prop_assert_eq!(embed.to_bits(), ref_embed.to_bits(), "threads {}", threads);
+                for (i, (a, b)) in fp.iter().zip(&ref_fp).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "fp atom {} threads {}", i, threads);
+                }
+                let ev = eam.compute_force_chunked(&mut atoms, &list, &fp, &exec, &mut scratch);
+                prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
+                prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
+                assert_forces_bitwise(&atoms, &ref_atoms, &format!("eam threads {threads} sorted {sorted}"));
             }
-            let embed = eam.compute_embedding_chunked(&atoms, &rho, &mut fp, &exec);
-            prop_assert_eq!(embed.to_bits(), ref_embed.to_bits(), "threads {}", threads);
-            for (i, (a, b)) in fp.iter().zip(&ref_fp).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "fp atom {} threads {}", i, threads);
-            }
-            let ev = eam.compute_force_chunked(&mut atoms, &list, &fp, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("eam threads {threads} sorted {sorted}"));
-        }
-    }
-
-    /// The lane-blocked LJ kernel is bitwise equal to the scalar one —
-    /// energy, virial, and every force component — in the serial path and
-    /// under the chunked executor at 1, 2 and 8 threads, across every
-    /// scalar-tail residue.
-    #[test]
-    fn lj_blocked_is_bitwise_scalar(atoms_in in lane_cloud(152), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let scalar = LjCut::lammps_bench();
-        let blocked = LjCut::lammps_bench().with_kernel_mode(KernelMode::Blocked);
-        let cell = 2.5 + 0.3;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 2.5, 0.3);
-
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let ref_ev = scalar.compute(&mut ref_atoms, &list);
-
-        let mut serial = atoms0.clone();
-        serial.zero_forces();
-        let ev = blocked.compute(&mut serial, &list);
-        prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits());
-        prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits());
-        assert_forces_bitwise(&serial, &ref_atoms, "lj blocked serial");
-
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let ev = blocked.compute_chunked(&mut atoms, &list, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("lj blocked threads {threads}"));
-        }
-    }
-
-    /// All three lane-blocked EAM passes (rho, embedding, force) are
-    /// bitwise equal to the scalar ones, serial and chunked at 1, 2 and 8
-    /// threads, across every scalar-tail residue.
-    #[test]
-    fn eam_blocked_is_bitwise_scalar(atoms_in in lane_cloud(120), sorted in any::<bool>()) {
-        let (locals, ghosts) = atoms_in;
-        let scalar = EamCu::lammps_bench();
-        let blocked = EamCu::lammps_bench().with_kernel_mode(KernelMode::Blocked);
-        let cell = 4.95 + 1.0;
-        let atoms0 = make_atoms(&locals, &ghosts, sorted, cell);
-        let list = NeighborList::build(&atoms0, LO, HI, ListKind::HalfNewton, 4.95, 1.0);
-
-        let mut ref_atoms = atoms0.clone();
-        ref_atoms.zero_forces();
-        let mut ref_rho = Vec::new();
-        let mut ref_fp = Vec::new();
-        scalar.compute_rho(&ref_atoms, &list, &mut ref_rho);
-        let ref_embed = scalar.compute_embedding(&ref_atoms, &ref_rho, &mut ref_fp);
-        let ref_ev = scalar.compute_force(&mut ref_atoms, &list, &ref_fp);
-
-        let mut serial = atoms0.clone();
-        serial.zero_forces();
-        let mut rho_s = Vec::new();
-        let mut fp_s = Vec::new();
-        blocked.compute_rho(&serial, &list, &mut rho_s);
-        for (i, (a, b)) in rho_s.iter().zip(&ref_rho).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "serial rho atom {}", i);
-        }
-        let embed_s = blocked.compute_embedding(&serial, &rho_s, &mut fp_s);
-        prop_assert_eq!(embed_s.to_bits(), ref_embed.to_bits());
-        let ev_s = blocked.compute_force(&mut serial, &list, &fp_s);
-        prop_assert_eq!(ev_s.energy.to_bits(), ref_ev.energy.to_bits());
-        prop_assert_eq!(ev_s.virial.to_bits(), ref_ev.virial.to_bits());
-        assert_forces_bitwise(&serial, &ref_atoms, "eam blocked serial");
-
-        for threads in [1usize, 2, 8] {
-            let pool;
-            let exec = if threads == 1 {
-                ChunkExec::Serial
-            } else {
-                pool = SpinPool::new(threads);
-                ChunkExec::Pool(&pool)
-            };
-            let mut atoms = atoms0.clone();
-            atoms.zero_forces();
-            let mut scratch = PairScratch::new();
-            let mut rho = Vec::new();
-            let mut fp = Vec::new();
-            blocked.compute_rho_chunked(&atoms, &list, &mut rho, &exec, &mut scratch);
-            for (i, (a, b)) in rho.iter().zip(&ref_rho).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "rho atom {} threads {}", i, threads);
-            }
-            let embed = blocked.compute_embedding_chunked(&atoms, &rho, &mut fp, &exec);
-            prop_assert_eq!(embed.to_bits(), ref_embed.to_bits(), "threads {}", threads);
-            for (i, (a, b)) in fp.iter().zip(&ref_fp).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "fp atom {} threads {}", i, threads);
-            }
-            let ev = blocked.compute_force_chunked(&mut atoms, &list, &fp, &exec, &mut scratch);
-            prop_assert_eq!(ev.energy.to_bits(), ref_ev.energy.to_bits(), "threads {}", threads);
-            prop_assert_eq!(ev.virial.to_bits(), ref_ev.virial.to_bits(), "threads {}", threads);
-            assert_forces_bitwise(&atoms, &ref_atoms, &format!("eam blocked threads {threads}"));
         }
     }
 

@@ -33,15 +33,16 @@ use crate::variant::CommVariant;
 use std::fmt;
 use tofumd_md::atom::Atoms;
 use tofumd_md::domain::RcbDecomposition;
-use tofumd_md::kernels::KernelMode;
 use tofumd_md::thermo::ThermoSnapshot;
 use tofumd_md::wirefmt::{self, WireError, WireReader};
 
 /// File magic: identifies a tofumd checkpoint container.
 pub const MAGIC: [u8; 8] = *b"TMDCKPT\0";
 
-/// Current container format version.
-pub const VERSION: u32 = 1;
+/// Current container format version. Version 2 dropped the run config's
+/// kernel-mode byte; a version-1 container is rejected as
+/// [`CheckpointError::UnsupportedVersion`].
+pub const VERSION: u32 = 2;
 
 /// Container overhead: magic + version + payload length + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8;
@@ -294,13 +295,6 @@ fn put_cfg(out: &mut Vec<u8>, cfg: &RunConfig) {
     wirefmt::put_f64(out, cfg.temperature);
     wirefmt::put_u64(out, cfg.seed);
     put_comm(out, &cfg.comm);
-    wirefmt::put_u8(
-        out,
-        match cfg.kernel {
-            KernelMode::Scalar => 0,
-            KernelMode::Blocked => 1,
-        },
-    );
 }
 
 fn get_cfg(r: &mut WireReader<'_>) -> Result<RunConfig, CheckpointError> {
@@ -310,11 +304,6 @@ fn get_cfg(r: &mut WireReader<'_>) -> Result<RunConfig, CheckpointError> {
         temperature: r.f64_()?,
         seed: r.u64_()?,
         comm: get_comm(r)?,
-        kernel: match r.u8_()? {
-            0 => KernelMode::Scalar,
-            1 => KernelMode::Blocked,
-            t => return Err(CheckpointError::Decode(format!("unknown kernel tag {t}"))),
-        },
     })
 }
 

@@ -1,7 +1,6 @@
 //! Run configurations mirroring the paper's inputs (Table 2).
 
 use serde::{Deserialize, Serialize};
-use tofumd_md::kernels::KernelMode;
 use tofumd_md::lattice::FccLattice;
 use tofumd_md::neighbor::{ListKind, RebuildPolicy};
 use tofumd_md::potential::{EamCu, LjCut, LjCutMulti, Potential, StillingerWeber};
@@ -144,9 +143,6 @@ pub struct RunConfig {
     /// Communication tuning (decomposition, halo depth, density ramp).
     #[serde(default)]
     pub comm: CommTuning,
-    /// Inner-loop implementation for the force/neighbor kernels.
-    #[serde(default)]
-    pub kernel: KernelMode,
 }
 
 impl RunConfig {
@@ -160,7 +156,6 @@ impl RunConfig {
             temperature: 1.44,
             seed: 20230612,
             comm: CommTuning::default(),
-            kernel: KernelMode::default(),
         }
     }
 
@@ -174,7 +169,6 @@ impl RunConfig {
             temperature: 1600.0,
             seed: 20230612,
             comm: CommTuning::default(),
-            kernel: KernelMode::default(),
         }
     }
 
@@ -187,7 +181,6 @@ impl RunConfig {
             temperature: 1000.0,
             seed: 20230612,
             comm: CommTuning::default(),
-            kernel: KernelMode::default(),
         }
     }
 
@@ -277,24 +270,18 @@ impl RunConfig {
     #[must_use]
     pub fn build_potential(&self) -> Potential {
         match self.kind {
-            PotentialKind::Lj => Potential::Pair(Box::new(
-                LjCut::lammps_bench().with_kernel_mode(self.kernel),
-            )),
-            PotentialKind::Eam => Potential::ManyBody(Box::new(
-                EamCu::lammps_bench().with_kernel_mode(self.kernel),
-            )),
-            PotentialKind::LjFull => Potential::Pair(Box::new(
-                LjCut::new(1.0, 1.0, 2.5, ListKind::Full).with_kernel_mode(self.kernel),
-            )),
+            PotentialKind::Lj => Potential::Pair(Box::new(LjCut::lammps_bench())),
+            PotentialKind::Eam => Potential::ManyBody(Box::new(EamCu::lammps_bench())),
+            PotentialKind::LjFull => {
+                Potential::Pair(Box::new(LjCut::new(1.0, 1.0, 2.5, ListKind::Full)))
+            }
             PotentialKind::LjLongCutoff { cutoff, full } => {
                 let kind = if full {
                     ListKind::Full
                 } else {
                     ListKind::HalfNewton
                 };
-                Potential::Pair(Box::new(
-                    LjCut::new(1.0, 1.0, cutoff, kind).with_kernel_mode(self.kernel),
-                ))
+                Potential::Pair(Box::new(LjCut::new(1.0, 1.0, cutoff, kind)))
             }
             PotentialKind::Sw => Potential::Pair(Box::new(StillingerWeber::silicon())),
             PotentialKind::LjBinary => Potential::Pair(Box::new(LjCutMulti::from_types(

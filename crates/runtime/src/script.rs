@@ -456,7 +456,6 @@ fn finalize(st: State) -> Result<ScriptRun, ScriptError> {
             rebalance_every: st.rebalance_every,
             ..CommTuning::default()
         },
-        kernel: base.kernel,
     };
     // Cross-validate script values against the Table-2 constants baked
     // into RunConfig: the fidelity contract is that scripts *match* the

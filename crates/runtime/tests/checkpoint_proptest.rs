@@ -16,7 +16,6 @@
 
 use proptest::prelude::*;
 use tofumd_md::domain::RcbDecomposition;
-use tofumd_md::kernels::KernelMode;
 use tofumd_md::region::Box3;
 use tofumd_md::thermo::ThermoSnapshot;
 use tofumd_md::Atoms;
@@ -68,22 +67,14 @@ fn run_config() -> impl Strategy<Value = RunConfig> {
         0.1f64..4.0,
         any::<u64>(),
         comm_tuning(),
-        any::<bool>(),
     )
-        .prop_map(
-            |(kind, natoms_target, temperature, seed, comm, blocked)| RunConfig {
-                kind,
-                natoms_target,
-                temperature,
-                seed,
-                comm,
-                kernel: if blocked {
-                    KernelMode::Blocked
-                } else {
-                    KernelMode::Scalar
-                },
-            },
-        )
+        .prop_map(|(kind, natoms_target, temperature, seed, comm)| RunConfig {
+            kind,
+            natoms_target,
+            temperature,
+            seed,
+            comm,
+        })
 }
 
 fn comm_variant() -> impl Strategy<Value = CommVariant> {
