@@ -72,6 +72,136 @@ impl Op {
             Op::ReverseScalar => "rev-scalar",
         }
     }
+
+    /// Whether `self` is a reduce: data flows ghost → owner, back along
+    /// the `recv` edges into the owner-side buffers, and accumulates into
+    /// the send lists. Every other op flows owner → ghost.
+    #[must_use]
+    pub fn is_reverse(self) -> bool {
+        matches!(self, Op::Reverse | Op::ReverseScalar)
+    }
+}
+
+/// Send lists and ghost segments of one rank, indexed by a flat slot: the
+/// star forest's bcast and reduce as one table. A forward op (bcast)
+/// packs a send list and overwrites the mirrored ghost segment on the far
+/// side; a reverse op (reduce) packs a ghost segment and accumulates into
+/// the mirrored send list. Border fills the table; Forward, Reverse and
+/// the EAM scalar ops only read it. The p2p layout uses one slot per
+/// graph edge, the staged layout one per `(dim, swap, dir)`.
+#[derive(Debug, Clone, Default)]
+pub struct GhostLayout {
+    /// Per slot: indices of the atoms (locals, or relayed ghosts in the
+    /// staged pattern) sent along it.
+    pub send_lists: Vec<Vec<u32>>,
+    /// Per slot: (first ghost index, count) received along it.
+    pub ghost_seg: Vec<(usize, usize)>,
+}
+
+impl GhostLayout {
+    /// Payload size in f64s of one atom under `op`.
+    fn width(op: Op) -> usize {
+        match op {
+            Op::Forward | Op::Reverse => 3,
+            Op::ForwardScalar | Op::ReverseScalar => 1,
+            Op::Border | Op::Exchange => unreachable!("{op:?} is not a ghost op"),
+        }
+    }
+
+    /// Atoms on one side of `slot`: its ghost segment or its send list.
+    fn atoms(&self, ghost_side: bool, slot: usize) -> usize {
+        if ghost_side {
+            self.ghost_seg[slot].1
+        } else {
+            self.send_lists[slot].len()
+        }
+    }
+
+    /// Atom-array range of `slot`'s ghost segment.
+    fn ghosts(&self, slot: usize) -> std::ops::Range<usize> {
+        let (start, count) = self.ghost_seg[slot];
+        start..start + count
+    }
+
+    /// Payload size (f64s) this rank sends on `slot` under `op`.
+    #[must_use]
+    pub fn f64s(&self, op: Op, slot: usize) -> usize {
+        self.atoms(op.is_reverse(), slot) * Self::width(op)
+    }
+
+    /// Stream `slot`'s payload for `op` into any [`crate::wire::F64Sink`]:
+    /// a staging `Vec`, or a `CombinedWriter` over a registered region on
+    /// the zero-copy path. `shift` is the periodic image shift applied to
+    /// forwarded positions; the other ops ignore it.
+    pub fn pack_into(
+        &self,
+        op: Op,
+        st: &RankState,
+        slot: usize,
+        shift: [f64; 3],
+        out: &mut impl crate::wire::F64Sink,
+    ) {
+        match op {
+            Op::Forward => {
+                for &i in &self.send_lists[slot] {
+                    let x = st.atoms.x[i as usize];
+                    out.put_f64(x[0] + shift[0]);
+                    out.put_f64(x[1] + shift[1]);
+                    out.put_f64(x[2] + shift[2]);
+                }
+            }
+            Op::ForwardScalar => {
+                for &i in &self.send_lists[slot] {
+                    out.put_f64(st.scalar[i as usize]);
+                }
+            }
+            Op::Reverse => {
+                for f in &st.atoms.f[self.ghosts(slot)] {
+                    out.put_f64s(f);
+                }
+            }
+            Op::ReverseScalar => out.put_f64s(&st.scalar[self.ghosts(slot)]),
+            Op::Border | Op::Exchange => unreachable!("{op:?} is not a ghost op"),
+        }
+    }
+
+    /// Apply `values` received on `slot` under `op`: forward ops copy
+    /// them into the ghost segment, reverse ops accumulate them into the
+    /// send list (whose entries may be relayed ghosts, whose sums continue
+    /// homeward in an earlier staged round).
+    pub fn unpack(&self, op: Op, st: &mut RankState, slot: usize, values: &[f64]) {
+        assert_eq!(
+            values.len(),
+            self.atoms(!op.is_reverse(), slot) * Self::width(op),
+            "{} payload size mismatch",
+            op.label()
+        );
+        match op {
+            Op::Forward => {
+                for (x, xyz) in st.atoms.x[self.ghosts(slot)]
+                    .iter_mut()
+                    .zip(values.chunks_exact(3))
+                {
+                    *x = [xyz[0], xyz[1], xyz[2]];
+                }
+            }
+            Op::ForwardScalar => st.scalar[self.ghosts(slot)].copy_from_slice(values),
+            Op::Reverse => {
+                for (&i, fxyz) in self.send_lists[slot].iter().zip(values.chunks_exact(3)) {
+                    let f = &mut st.atoms.f[i as usize];
+                    f[0] += fxyz[0];
+                    f[1] += fxyz[1];
+                    f[2] += fxyz[2];
+                }
+            }
+            Op::ReverseScalar => {
+                for (&i, v) in self.send_lists[slot].iter().zip(values) {
+                    st.scalar[i as usize] += v;
+                }
+            }
+            Op::Border | Op::Exchange => unreachable!("{op:?} is not a ghost op"),
+        }
+    }
 }
 
 /// Live communication counters (the in-vivo counterpart of Table 1's

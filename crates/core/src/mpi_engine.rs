@@ -2,11 +2,11 @@
 //! pattern ("ref") and the naive MPI p2p pattern that §3.2 shows is
 //! *slower* than the baseline because of MPI's per-message software cost.
 
-use crate::engine::{GhostEngine, Op, OpStats, RankState};
+use crate::engine::{GhostEngine, GhostLayout, Op, OpStats, RankState};
 use crate::p2p::P2pGhosts;
 use crate::plan::NeighborLink;
 use crate::sf::SendSelector;
-use crate::three_stage::{round_to_sweep, staged_links, StagedGhosts};
+use crate::three_stage::{staged_links, StagedGhosts};
 use crate::topo_map::RankMap;
 use crate::wire;
 use std::sync::Arc;
@@ -36,6 +36,14 @@ fn p2p_tag(op: Op, link: usize) -> u32 {
     op_base(op) * 1024 + link as u32
 }
 
+/// Pack layout slot `slot` of a ghost op into its own payload: the MPI
+/// engines stage every message through a `Vec`.
+fn pack(layout: &GhostLayout, op: Op, st: &RankState, slot: usize, shift: [f64; 3]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(layout.f64s(op, slot));
+    layout.pack_into(op, st, slot, shift, &mut out);
+    out
+}
+
 /// The LAMMPS default: 6-message staged exchange over MPI.
 pub struct MpiThreeStage {
     comm: Arc<Communicator>,
@@ -43,8 +51,6 @@ pub struct MpiThreeStage {
     links: [[NeighborLink; 2]; 3],
     ghosts: StagedGhosts,
     stats: OpStats,
-    /// Swaps per dimension (the plan's shell count; 1 in the common case).
-    shells: usize,
 }
 
 impl MpiThreeStage {
@@ -59,14 +65,12 @@ impl MpiThreeStage {
         global: &Box3,
         shells: usize,
     ) -> Self {
-        assert!(shells >= 1);
         MpiThreeStage {
             comm,
             me: rank,
             links: staged_links(map, rank, global),
-            ghosts: StagedGhosts::default(),
+            ghosts: StagedGhosts::new(shells),
             stats: OpStats::default(),
-            shells,
         }
     }
 
@@ -145,7 +149,7 @@ impl GhostEngine for MpiThreeStage {
         if op == Op::Exchange {
             3
         } else {
-            3 * self.shells
+            3 * self.ghosts.swaps()
         }
     }
 
@@ -161,45 +165,19 @@ impl GhostEngine for MpiThreeStage {
         match op {
             Op::Border => {
                 if round == 0 {
-                    self.ghosts.reset(st, self.shells);
+                    self.ghosts.reset(st);
                 }
-                let (dim, swap) = round_to_sweep(round, self.shells);
+                let (dim, swap) = self.ghosts.sweep(op, round);
                 let payloads = self.ghosts.pack_border(st, &self.links, dim, swap);
                 self.send_both(st, op, round, dim, &payloads);
             }
-            Op::Forward => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = [
-                    self.ghosts.pack_forward(st, &self.links, dim, swap, 0),
-                    self.ghosts.pack_forward(st, &self.links, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = [
-                    self.ghosts.pack_forward_scalar(st, dim, swap, 0),
-                    self.ghosts.pack_forward_scalar(st, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::Reverse => {
-                // Reverse runs the sweeps backwards (z..x, last swap first).
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = [
-                    self.ghosts.pack_reverse(st, dim, swap, 0),
-                    self.ghosts.pack_reverse(st, dim, swap, 1),
-                ];
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = [
-                    self.ghosts.pack_reverse_scalar(st, dim, swap, 0),
-                    self.ghosts.pack_reverse_scalar(st, dim, swap, 1),
-                ];
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let (dim, swap) = self.ghosts.sweep(op, round);
+                let g = &self.ghosts;
+                let payloads = [0, 1].map(|dir| {
+                    let slot = g.slot(dim, swap, dir);
+                    pack(&g.layout, op, st, slot, self.links[dim][dir].shift)
+                });
                 self.send_both(st, op, round, dim, &payloads);
             }
             Op::Exchange => {
@@ -213,50 +191,24 @@ impl GhostEngine for MpiThreeStage {
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         match op {
             Op::Border => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
+                let (dim, swap) = self.ghosts.sweep(op, round);
                 let payloads = self.recv_both(st, op, dim)?;
                 self.ghosts.unpack_border(st, dim, swap, &payloads);
                 // EAM scalar buffers must track the growing ghost tail.
                 st.scalar.resize(st.atoms.ntotal(), 0.0);
             }
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let (dim, swap) = self.ghosts.sweep(op, round);
+                let payloads = self.recv_both(st, op, dim)?;
+                for (dir, values) in payloads.iter().enumerate() {
+                    let slot = self.ghosts.slot(dim, swap, dir);
+                    self.ghosts.layout.unpack(op, st, slot, values);
+                }
+            }
             Op::Exchange => {
                 let payloads = self.recv_both(st, op, round)?;
                 for p in &payloads {
                     st.unpack_exchange(p);
-                }
-            }
-            Op::Forward => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward_scalar(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::Reverse => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_both(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse_scalar(st, dim, swap, dir, &payloads[dir]);
                 }
             }
         }
@@ -306,25 +258,16 @@ impl MpiP2p {
         sel.get_or_insert_with(|| st.graph.selector())
     }
 
-    fn send_all(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        payloads: &[Vec<f64>],
-        to_recv_side: bool,
-    ) {
+    /// Send one payload per edge `op` leaves along
+    /// ([`crate::sf::CommGraph::out_edges`]), tagged with the receiver's
+    /// edge index.
+    fn send_all(&mut self, st: &mut RankState, op: Op, round: usize, payloads: &[Vec<f64>]) {
         let p = *self.comm.net().params();
         let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
         let mut now = st.clock + p.pack_cost(bytes);
-        for (k, payload) in payloads.iter().enumerate() {
+        for (edge, payload) in st.graph.out_edges(op).iter().zip(payloads) {
             self.stats.count(op, round, payload.len() * 8);
             self.stats.copied(op, round, payload.len() * 8);
-            let edge = if to_recv_side {
-                &st.graph.recv[k]
-            } else {
-                &st.graph.send[k]
-            };
             self.comm.send(
                 self.me,
                 edge.rank,
@@ -336,22 +279,14 @@ impl MpiP2p {
         st.charge(now - st.clock, op);
     }
 
-    fn recv_all(
-        &self,
-        st: &mut RankState,
-        op: Op,
-        from_recv_side: bool,
-    ) -> Result<Vec<Vec<f64>>, TofuError> {
+    /// Receive one payload per edge `op` arrives along, in edge order.
+    fn recv_all(&self, st: &mut RankState, op: Op) -> Result<Vec<Vec<f64>>, TofuError> {
         let n = st.graph.recv.len();
         let mut out = Vec::with_capacity(n);
         let mut now = st.clock;
         for k in 0..n {
-            let edge = if from_recv_side {
-                &st.graph.recv[k]
-            } else {
-                &st.graph.send[k]
-            };
-            let m = match self.comm.try_recv(self.me, edge.rank, p2p_tag(op, k), now) {
+            let rank = st.graph.in_edges(op)[k].rank;
+            let m = match self.comm.try_recv(self.me, rank, p2p_tag(op, k), now) {
                 Ok(m) => m,
                 Err(e) => {
                     st.charge(now - st.clock, op);
@@ -399,31 +334,14 @@ impl GhostEngine for MpiP2p {
             Op::Border => {
                 let sel = Self::sel(&mut self.sel, st);
                 let payloads = self.ghosts.pack_border(st, sel);
-                self.send_all(st, op, round, &payloads, false);
+                self.send_all(st, op, round, &payloads);
             }
-            Op::Forward => {
-                let payloads: Vec<_> = (0..st.graph.send.len())
-                    .map(|k| self.ghosts.pack_forward(st, k))
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let layout = &self.ghosts.layout;
+                let payloads: Vec<_> = (st.graph.out_edges(op).iter().enumerate())
+                    .map(|(k, edge)| pack(layout, op, st, k, edge.shift))
                     .collect();
-                self.send_all(st, op, round, &payloads, false);
-            }
-            Op::ForwardScalar => {
-                let payloads: Vec<_> = (0..st.graph.send.len())
-                    .map(|k| self.ghosts.pack_forward_scalar(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, false);
-            }
-            Op::Reverse => {
-                let payloads: Vec<_> = (0..st.graph.recv.len())
-                    .map(|k| self.ghosts.pack_reverse(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, true);
-            }
-            Op::ReverseScalar => {
-                let payloads: Vec<_> = (0..st.graph.recv.len())
-                    .map(|k| self.ghosts.pack_reverse_scalar(st, k))
-                    .collect();
-                self.send_all(st, op, round, &payloads, true);
+                self.send_all(st, op, round, &payloads);
             }
             Op::Exchange if st.graph.is_grid() => {
                 let dim = round;
@@ -474,9 +392,15 @@ impl GhostEngine for MpiP2p {
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         match op {
             Op::Border => {
-                let payloads = self.recv_all(st, op, true)?;
+                let payloads = self.recv_all(st, op)?;
                 self.ghosts.unpack_border(st, &payloads);
                 st.scalar.resize(st.atoms.ntotal(), 0.0);
+            }
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let payloads = self.recv_all(st, op)?;
+                for (k, values) in payloads.iter().enumerate() {
+                    self.ghosts.layout.unpack(op, st, k, values);
+                }
             }
             Op::Exchange if st.graph.is_grid() => {
                 let dim = round;
@@ -515,30 +439,6 @@ impl GhostEngine for MpiP2p {
                     st.unpack_exchange(&wire::decode_f64s(&m.data));
                 }
                 st.charge(now - st.clock, op);
-            }
-            Op::Forward => {
-                let payloads = self.recv_all(st, op, true)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward(st, k, v);
-                }
-            }
-            Op::ForwardScalar => {
-                let payloads = self.recv_all(st, op, true)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward_scalar(st, k, v);
-                }
-            }
-            Op::Reverse => {
-                let payloads = self.recv_all(st, op, false)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse(st, k, v);
-                }
-            }
-            Op::ReverseScalar => {
-                let payloads = self.recv_all(st, op, false)?;
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse_scalar(st, k, v);
-                }
             }
         }
         Ok(())

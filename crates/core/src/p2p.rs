@@ -10,17 +10,17 @@
 //! which also disambiguates small periodic grids (and irregular graphs)
 //! where one rank is a neighbor along several edges.
 
-use crate::engine::RankState;
+use crate::engine::{GhostLayout, RankState};
 use crate::sf::SendSelector;
 use crate::wire;
 
 /// Send lists and ghost layout for the p2p pattern.
 #[derive(Debug, Clone, Default)]
 pub struct P2pGhosts {
-    /// Per send edge: indices of my local atoms the neighbor needs.
-    pub send_lists: Vec<Vec<u32>>,
-    /// Per recv edge: (first ghost index, count) in the atom array.
-    pub ghost_seg: Vec<(usize, usize)>,
+    /// One slot per edge `k`: `send_lists[k]` holds my local atoms
+    /// `send[k]`'s peer needs, `ghost_seg[k]` the ghosts `recv[k]`
+    /// delivered.
+    pub layout: GhostLayout,
 }
 
 impl P2pGhosts {
@@ -28,14 +28,15 @@ impl P2pGhosts {
     /// payloads (tag + shifted position per atom), one per send edge.
     pub fn pack_border(&mut self, st: &RankState, sel: &SendSelector) -> Vec<Vec<f64>> {
         let n_links = st.graph.send.len();
-        self.send_lists = vec![Vec::new(); n_links];
+        let send_lists = &mut self.layout.send_lists;
+        *send_lists = vec![Vec::new(); n_links];
         let mut payloads = vec![Vec::new(); n_links];
         for i in 0..st.atoms.nlocal {
             let x = st.atoms.x[i];
             sel.for_each_target(&x, |k| {
                 let k = k as usize;
                 let link = &st.graph.send[k];
-                self.send_lists[k].push(i as u32);
+                send_lists[k].push(i as u32);
                 wire::push_border_record(
                     &mut payloads[k],
                     st.atoms.tag[i],
@@ -56,163 +57,39 @@ impl P2pGhosts {
     /// Ghosts are laid out in link order — deterministic across runs.
     pub fn unpack_border(&mut self, st: &mut RankState, per_link: &[Vec<f64>]) {
         st.atoms.clear_ghosts();
-        self.ghost_seg = Vec::with_capacity(per_link.len());
+        let ghost_seg = &mut self.layout.ghost_seg;
+        *ghost_seg = Vec::with_capacity(per_link.len());
         for payload in per_link {
             let start = st.atoms.ntotal();
             let records = wire::parse_border_records(payload);
             for (tag, typ, x) in &records {
                 st.atoms.push_ghost(*x, *typ, *tag);
             }
-            self.ghost_seg.push((start, records.len()));
+            ghost_seg.push((start, records.len()));
         }
-    }
-
-    /// Pack current positions of send list `k` (forward stage).
-    #[must_use]
-    pub fn pack_forward(&self, st: &RankState, k: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.forward_f64s(k));
-        self.pack_forward_into(st, k, &mut out);
-        out
-    }
-
-    /// Stream send list `k`'s positions into any [`wire::F64Sink`] — the
-    /// zero-copy path points this at a `CombinedWriter` over a registered
-    /// send region; the staged path at a `Vec`. Same values, same order.
-    pub fn pack_forward_into(&self, st: &RankState, k: usize, out: &mut impl wire::F64Sink) {
-        let link = &st.graph.send[k];
-        for &i in &self.send_lists[k] {
-            let x = st.atoms.x[i as usize];
-            out.put_f64(x[0] + link.shift[0]);
-            out.put_f64(x[1] + link.shift[1]);
-            out.put_f64(x[2] + link.shift[2]);
-        }
-    }
-
-    /// Payload size (f64s) of `pack_forward` for send edge `k`.
-    #[must_use]
-    pub fn forward_f64s(&self, k: usize) -> usize {
-        self.send_lists[k].len() * 3
-    }
-
-    /// Write received positions into ghost segment `k`.
-    pub fn unpack_forward(&self, st: &mut RankState, k: usize, values: &[f64]) {
-        let (start, count) = self.ghost_seg[k];
-        assert_eq!(values.len(), count * 3, "forward payload size mismatch");
-        for (g, xyz) in values.chunks_exact(3).enumerate() {
-            st.atoms.x[start + g] = [xyz[0], xyz[1], xyz[2]];
-        }
-    }
-
-    /// Pack ghost forces of segment `k` (reverse stage: back to the owner).
-    #[must_use]
-    pub fn pack_reverse(&self, st: &RankState, k: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.reverse_f64s(k));
-        self.pack_reverse_into(st, k, &mut out);
-        out
-    }
-
-    /// Sink-generic form of [`P2pGhosts::pack_reverse`].
-    pub fn pack_reverse_into(&self, st: &RankState, k: usize, out: &mut impl wire::F64Sink) {
-        let (start, count) = self.ghost_seg[k];
-        for g in 0..count {
-            out.put_f64s(&st.atoms.f[start + g]);
-        }
-    }
-
-    /// Payload size (f64s) of `pack_reverse` for recv edge `k`.
-    #[must_use]
-    pub fn reverse_f64s(&self, k: usize) -> usize {
-        self.ghost_seg[k].1 * 3
-    }
-
-    /// Accumulate received forces into the atoms of send list `k`.
-    pub fn unpack_reverse(&self, st: &mut RankState, k: usize, values: &[f64]) {
-        let list = &self.send_lists[k];
-        assert_eq!(
-            values.len(),
-            list.len() * 3,
-            "reverse payload size mismatch"
-        );
-        for (&i, fxyz) in list.iter().zip(values.chunks_exact(3)) {
-            let f = &mut st.atoms.f[i as usize];
-            f[0] += fxyz[0];
-            f[1] += fxyz[1];
-            f[2] += fxyz[2];
-        }
-    }
-
-    /// Pack local scalars (EAM fp) of send list `k` (forward-scalar).
-    #[must_use]
-    pub fn pack_forward_scalar(&self, st: &RankState, k: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.send_lists[k].len());
-        self.pack_forward_scalar_into(st, k, &mut out);
-        out
-    }
-
-    /// Sink-generic form of [`P2pGhosts::pack_forward_scalar`].
-    pub fn pack_forward_scalar_into(&self, st: &RankState, k: usize, out: &mut impl wire::F64Sink) {
-        for &i in &self.send_lists[k] {
-            out.put_f64(st.scalar[i as usize]);
-        }
-    }
-
-    /// Write received scalars into ghost segment `k` of `st.scalar`.
-    pub fn unpack_forward_scalar(&self, st: &mut RankState, k: usize, values: &[f64]) {
-        let (start, count) = self.ghost_seg[k];
-        assert_eq!(values.len(), count, "scalar payload size mismatch");
-        st.scalar[start..start + count].copy_from_slice(values);
-    }
-
-    /// Pack ghost scalars (EAM rho) of segment `k` (reverse-scalar).
-    #[must_use]
-    pub fn pack_reverse_scalar(&self, st: &RankState, k: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.ghost_seg[k].1);
-        self.pack_reverse_scalar_into(st, k, &mut out);
-        out
-    }
-
-    /// Sink-generic form of [`P2pGhosts::pack_reverse_scalar`].
-    pub fn pack_reverse_scalar_into(&self, st: &RankState, k: usize, out: &mut impl wire::F64Sink) {
-        let (start, count) = self.ghost_seg[k];
-        out.put_f64s(&st.scalar[start..start + count]);
-    }
-
-    /// Payload size (f64s) of the scalar ops for edge `k`: the send list
-    /// on the forward side, the ghost segment on the reverse side.
-    #[must_use]
-    pub fn scalar_f64s(&self, k: usize, reverse: bool) -> usize {
-        if reverse {
-            self.ghost_seg[k].1
-        } else {
-            self.send_lists[k].len()
-        }
-    }
-
-    /// Accumulate received scalars into send list `k` of `st.scalar`.
-    pub fn unpack_reverse_scalar(&self, st: &mut RankState, k: usize, values: &[f64]) {
-        let list = &self.send_lists[k];
-        assert_eq!(values.len(), list.len(), "scalar payload size mismatch");
-        for (&i, v) in list.iter().zip(values) {
-            st.scalar[i as usize] += v;
-        }
-    }
-
-    /// Total atoms currently in all send lists (message-volume observable).
-    #[must_use]
-    pub fn total_send_atoms(&self) -> usize {
-        self.send_lists.iter().map(Vec::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Op;
     use crate::plan::{CommPlan, PlanConfig};
     use crate::sf::CommGraph;
     use crate::topo_map::{Placement, RankMap};
     use tofumd_md::atom::Atoms;
     use tofumd_md::region::Box3;
     use tofumd_tofu::CellGrid;
+
+    /// Pack edge `k`'s payload for `op` the way the engines do: the
+    /// periodic shift of the edge the payload leaves along.
+    fn pack(g: &P2pGhosts, op: Op, st: &RankState, k: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        let shift = st.graph.out_edges(op)[k].shift;
+        g.layout.pack_into(op, st, k, shift, &mut out);
+        assert_eq!(out.len(), g.layout.f64s(op, k));
+        out
+    }
 
     /// Build a single-rank state with a 10^3 sub-box at the grid origin.
     fn state_with_atoms(pos: Vec<[f64; 3]>) -> (RankState, SendSelector) {
@@ -236,7 +113,7 @@ mod tests {
         let mut g = P2pGhosts::default();
         let payloads = g.pack_border(&st, &sel);
         assert!(payloads.iter().all(Vec::is_empty));
-        assert_eq!(g.total_send_atoms(), 0);
+        assert!(g.layout.send_lists.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -285,8 +162,8 @@ mod tests {
 
         // Forward: A moves its atom, repacks, B sees the new position.
         a.atoms.x[0] = [0.25, 5.5, 5.0];
-        let fwd = ga.pack_forward(&a, k);
-        gb.unpack_forward(&mut b, k, &fwd);
+        let fwd = pack(&ga, Op::Forward, &a, k);
+        gb.layout.unpack(Op::Forward, &mut b, k, &fwd);
         let g_idx = b.atoms.nlocal;
         let shift = a.graph.send[k].shift;
         assert!((b.atoms.x[g_idx][0] - (0.25 + shift[0])).abs() < 1e-12);
@@ -294,9 +171,9 @@ mod tests {
 
         // Reverse: B accumulates force on the ghost; A folds it back.
         b.atoms.f[g_idx] = [1.0, -2.0, 0.5];
-        let rev = gb.pack_reverse(&b, k);
+        let rev = pack(&gb, Op::Reverse, &b, k);
         a.atoms.f[0] = [0.1, 0.0, 0.0];
-        ga.unpack_reverse(&mut a, k, &rev);
+        ga.layout.unpack(Op::Reverse, &mut a, k, &rev);
         assert!((a.atoms.f[0][0] - 1.1).abs() < 1e-12);
         assert!((a.atoms.f[0][1] - -2.0).abs() < 1e-12);
     }
@@ -320,16 +197,16 @@ mod tests {
 
         // Forward scalar: A's fp reaches B's ghost slot.
         a.scalar = vec![7.5]; // one local atom
-        let fs = ga.pack_forward_scalar(&a, k);
+        let fs = pack(&ga, Op::ForwardScalar, &a, k);
         b.scalar = vec![0.0; b.atoms.ntotal()];
-        gb.unpack_forward_scalar(&mut b, k, &fs);
+        gb.layout.unpack(Op::ForwardScalar, &mut b, k, &fs);
         assert_eq!(b.scalar[b.atoms.nlocal], 7.5);
 
         // Reverse scalar: B's ghost rho folds into A's local rho.
         b.scalar[b.atoms.nlocal] = 1.25;
-        let rs = gb.pack_reverse_scalar(&b, k);
+        let rs = pack(&gb, Op::ReverseScalar, &b, k);
         a.scalar = vec![1.0];
-        ga.unpack_reverse_scalar(&mut a, k, &rs);
+        ga.layout.unpack(Op::ReverseScalar, &mut a, k, &rs);
         assert!((a.scalar[0] - 2.25).abs() < 1e-12);
     }
 
@@ -346,9 +223,9 @@ mod tests {
         wire::push_border_record(&mut p2, 13, 1, [3.0; 3]);
         per_link[2] = p2;
         g.unpack_border(&mut st, &per_link);
-        assert_eq!(g.ghost_seg[0], (1, 2));
-        assert_eq!(g.ghost_seg[1], (3, 0));
-        assert_eq!(g.ghost_seg[2], (3, 1));
+        assert_eq!(g.layout.ghost_seg[0], (1, 2));
+        assert_eq!(g.layout.ghost_seg[1], (3, 0));
+        assert_eq!(g.layout.ghost_seg[2], (3, 1));
         assert_eq!(st.atoms.nghost(), 3);
     }
 }

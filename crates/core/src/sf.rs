@@ -26,6 +26,7 @@
 //! thread scheduling.
 
 use crate::border_bin::BorderBins;
+use crate::engine::Op;
 use crate::plan::{CommPlan, NeighborLink, PlanConfig};
 use crate::topo_map::RankMap;
 use std::sync::Arc;
@@ -447,6 +448,28 @@ impl CommGraph {
     #[must_use]
     pub fn neighbor_count(&self) -> usize {
         self.recv.len()
+    }
+
+    /// The edges `op`'s payloads leave along: `send` for the ops that
+    /// flow owner → ghost, `recv` for the reduces ([`Op::is_reverse`]).
+    #[must_use]
+    pub fn out_edges(&self, op: Op) -> &[GraphEdge] {
+        if op.is_reverse() {
+            &self.recv
+        } else {
+            &self.send
+        }
+    }
+
+    /// The edges `op`'s payloads arrive along (the mirror of
+    /// [`CommGraph::out_edges`]).
+    #[must_use]
+    pub fn in_edges(&self, op: Op) -> &[GraphEdge] {
+        if op.is_reverse() {
+            &self.send
+        } else {
+            &self.recv
+        }
     }
 
     /// The grid face neighbor toward `dim`/`dir` (staged migration only

@@ -13,7 +13,7 @@
 //! from the opposite face in swap `s-1` — the receiver-side band test is
 //! identical in every frame, so the relay rule is uniform.
 
-use crate::engine::RankState;
+use crate::engine::{GhostLayout, Op, RankState};
 use crate::plan::NeighborLink;
 use crate::topo_map::RankMap;
 use crate::wire;
@@ -51,40 +51,60 @@ pub fn staged_links(map: &RankMap, rank: usize, global: &Box3) -> [[NeighborLink
     ]
 }
 
-/// Map a flat border/forward round index to `(dim, swap)` for a given
-/// swap count per dimension.
-#[must_use]
-pub fn round_to_sweep(round: usize, swaps: usize) -> (usize, usize) {
-    (round / swaps, round % swaps)
-}
-
 /// Send lists and ghost layout for the staged pattern.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StagedGhosts {
     /// Swaps per dimension (the plan's shell count).
     swaps: usize,
-    /// `send_lists[dim][swap][dir]`: atom indices (locals or earlier
-    /// ghosts) sent toward that face in that swap.
-    pub send_lists: Vec<Vec<[Vec<u32>; 2]>>,
-    /// `ghost_seg[dim][swap][dir]`: (start, count) of ghosts received from
-    /// that face in that swap.
-    pub ghost_seg: Vec<Vec<[(usize, usize); 2]>>,
+    /// One slot per `(dim, swap, dir)` ([`StagedGhosts::slot`]):
+    /// `send_lists` holds the atoms (locals or earlier ghosts) sent toward
+    /// that face in that swap, `ghost_seg` the ghosts received from it.
+    pub layout: GhostLayout,
 }
 
 impl StagedGhosts {
-    /// Reset for a new border pass with `swaps` swaps per dimension.
-    pub fn reset(&mut self, st: &mut RankState, swaps: usize) {
+    /// An empty layout for `swaps` swaps per dimension.
+    #[must_use]
+    pub fn new(swaps: usize) -> Self {
         assert!(swaps >= 1);
-        st.atoms.clear_ghosts();
-        self.swaps = swaps;
-        self.send_lists = vec![vec![[Vec::new(), Vec::new()]; swaps]; 3];
-        self.ghost_seg = vec![vec![[(0, 0); 2]; swaps]; 3];
+        StagedGhosts {
+            swaps,
+            layout: GhostLayout::default(),
+        }
     }
 
-    /// Swaps per dimension configured at the last reset.
+    /// Reset for a new border pass.
+    pub fn reset(&mut self, st: &mut RankState) {
+        st.atoms.clear_ghosts();
+        let n = 3 * self.swaps * 2;
+        self.layout.send_lists = vec![Vec::new(); n];
+        self.layout.ghost_seg = vec![(0, 0); n];
+    }
+
+    /// Swaps per dimension.
     #[must_use]
     pub fn swaps(&self) -> usize {
         self.swaps
+    }
+
+    /// Flat layout slot of `(dim, swap, dir)`.
+    #[must_use]
+    pub fn slot(&self, dim: usize, swap: usize, dir: usize) -> usize {
+        (dim * self.swaps + swap) * 2 + dir
+    }
+
+    /// The `(dim, swap)` that `op` sweeps in `round`: x..z with swaps in
+    /// order for the ops that flow toward the ghosts, reversed (z..x, last
+    /// swap first) for the reduces, so each ghost's contribution retraces
+    /// its path home.
+    #[must_use]
+    pub fn sweep(&self, op: Op, round: usize) -> (usize, usize) {
+        let idx = if op.is_reverse() {
+            3 * self.swaps - 1 - round
+        } else {
+            round
+        };
+        (idx / self.swaps, idx % self.swaps)
     }
 
     /// Build the send lists and payloads for `(dim, swap)`:
@@ -105,13 +125,15 @@ impl StagedGhosts {
         let (lo, hi) = (st.graph.sub.lo[dim], st.graph.sub.hi[dim]);
         let mut payloads = [Vec::new(), Vec::new()];
         for dir in 0..2 {
-            let candidates: Box<dyn Iterator<Item = usize>> = if swap == 0 {
-                Box::new(0..st.atoms.ntotal())
+            let candidates = if swap == 0 {
+                0..st.atoms.ntotal()
             } else {
                 // Relay ghosts that came from the opposite face last swap.
-                let (start, count) = self.ghost_seg[dim][swap - 1][1 - dir];
-                Box::new(start..start + count)
+                let (start, count) = self.layout.ghost_seg[self.slot(dim, swap - 1, 1 - dir)];
+                start..start + count
             };
+            let slot = self.slot(dim, swap, dir);
+            let link = &links[dim][dir];
             for i in candidates {
                 let x = st.atoms.x[i];
                 let wanted = if dir == 0 {
@@ -122,8 +144,7 @@ impl StagedGhosts {
                 if !wanted {
                     continue;
                 }
-                let link = &links[dim][dir];
-                self.send_lists[dim][swap][dir].push(i as u32);
+                self.layout.send_lists[slot].push(i as u32);
                 wire::push_border_record(
                     &mut payloads[dir],
                     st.atoms.tag[i],
@@ -154,226 +175,9 @@ impl StagedGhosts {
             for (tag, typ, x) in &records {
                 st.atoms.push_ghost(*x, *typ, *tag);
             }
-            self.ghost_seg[dim][swap][dir] = (start, records.len());
+            let slot = self.slot(dim, swap, dir);
+            self.layout.ghost_seg[slot] = (start, records.len());
         }
-    }
-
-    /// Pack current positions of send list `(dim, swap, dir)` (forward).
-    #[must_use]
-    pub fn pack_forward(
-        &self,
-        st: &RankState,
-        links: &[[NeighborLink; 2]; 3],
-        dim: usize,
-        swap: usize,
-        dir: usize,
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.forward_f64s(dim, swap, dir));
-        self.pack_forward_into(st, links, dim, swap, dir, &mut out);
-        out
-    }
-
-    /// Stream the forward payload into any [`wire::F64Sink`] — zero-copy
-    /// engines point this at a `CombinedWriter` over a registered region.
-    pub fn pack_forward_into(
-        &self,
-        st: &RankState,
-        links: &[[NeighborLink; 2]; 3],
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        out: &mut impl wire::F64Sink,
-    ) {
-        let link = &links[dim][dir];
-        for &i in &self.send_lists[dim][swap][dir] {
-            let x = st.atoms.x[i as usize];
-            out.put_f64(x[0] + link.shift[0]);
-            out.put_f64(x[1] + link.shift[1]);
-            out.put_f64(x[2] + link.shift[2]);
-        }
-    }
-
-    /// Payload size (f64s) of `pack_forward` for `(dim, swap, dir)`.
-    #[must_use]
-    pub fn forward_f64s(&self, dim: usize, swap: usize, dir: usize) -> usize {
-        self.send_lists[dim][swap][dir].len() * 3
-    }
-
-    /// Write received positions into ghost segment `(dim, swap, dir)`.
-    pub fn unpack_forward(
-        &self,
-        st: &mut RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        values: &[f64],
-    ) {
-        let (start, count) = self.ghost_seg[dim][swap][dir];
-        assert_eq!(values.len(), count * 3, "forward payload size mismatch");
-        for (g, xyz) in values.chunks_exact(3).enumerate() {
-            st.atoms.x[start + g] = [xyz[0], xyz[1], xyz[2]];
-        }
-    }
-
-    /// Pack ghost forces of segment `(dim, swap, dir)` (reverse stage —
-    /// runs in the opposite sweep order).
-    #[must_use]
-    pub fn pack_reverse(&self, st: &RankState, dim: usize, swap: usize, dir: usize) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.reverse_f64s(dim, swap, dir));
-        self.pack_reverse_into(st, dim, swap, dir, &mut out);
-        out
-    }
-
-    /// Sink-generic form of [`StagedGhosts::pack_reverse`].
-    pub fn pack_reverse_into(
-        &self,
-        st: &RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        out: &mut impl wire::F64Sink,
-    ) {
-        let (start, count) = self.ghost_seg[dim][swap][dir];
-        for g in 0..count {
-            out.put_f64s(&st.atoms.f[start + g]);
-        }
-    }
-
-    /// Payload size (f64s) of `pack_reverse` for `(dim, swap, dir)`.
-    #[must_use]
-    pub fn reverse_f64s(&self, dim: usize, swap: usize, dir: usize) -> usize {
-        self.ghost_seg[dim][swap][dir].1 * 3
-    }
-
-    /// Accumulate received forces into send list `(dim, swap, dir)` —
-    /// entries may themselves be ghosts, whose accumulated force continues
-    /// homeward in an earlier reverse round.
-    pub fn unpack_reverse(
-        &self,
-        st: &mut RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        values: &[f64],
-    ) {
-        let list = &self.send_lists[dim][swap][dir];
-        assert_eq!(
-            values.len(),
-            list.len() * 3,
-            "reverse payload size mismatch"
-        );
-        for (&i, fxyz) in list.iter().zip(values.chunks_exact(3)) {
-            let f = &mut st.atoms.f[i as usize];
-            f[0] += fxyz[0];
-            f[1] += fxyz[1];
-            f[2] += fxyz[2];
-        }
-    }
-
-    /// Pack local scalars of send list `(dim, swap, dir)` (EAM forward).
-    #[must_use]
-    pub fn pack_forward_scalar(
-        &self,
-        st: &RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.send_lists[dim][swap][dir].len());
-        self.pack_forward_scalar_into(st, dim, swap, dir, &mut out);
-        out
-    }
-
-    /// Sink-generic form of [`StagedGhosts::pack_forward_scalar`].
-    pub fn pack_forward_scalar_into(
-        &self,
-        st: &RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        out: &mut impl wire::F64Sink,
-    ) {
-        for &i in &self.send_lists[dim][swap][dir] {
-            out.put_f64(st.scalar[i as usize]);
-        }
-    }
-
-    /// Write received scalars into ghost segment `(dim, swap, dir)`.
-    pub fn unpack_forward_scalar(
-        &self,
-        st: &mut RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        values: &[f64],
-    ) {
-        let (start, count) = self.ghost_seg[dim][swap][dir];
-        assert_eq!(values.len(), count, "scalar payload size mismatch");
-        st.scalar[start..start + count].copy_from_slice(values);
-    }
-
-    /// Pack ghost scalars of segment `(dim, swap, dir)` (EAM reverse).
-    #[must_use]
-    pub fn pack_reverse_scalar(
-        &self,
-        st: &RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-    ) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.ghost_seg[dim][swap][dir].1);
-        self.pack_reverse_scalar_into(st, dim, swap, dir, &mut out);
-        out
-    }
-
-    /// Sink-generic form of [`StagedGhosts::pack_reverse_scalar`].
-    pub fn pack_reverse_scalar_into(
-        &self,
-        st: &RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        out: &mut impl wire::F64Sink,
-    ) {
-        let (start, count) = self.ghost_seg[dim][swap][dir];
-        out.put_f64s(&st.scalar[start..start + count]);
-    }
-
-    /// Payload size (f64s) of the scalar ops for `(dim, swap, dir)`: the
-    /// send list forward, the ghost segment on the reverse side.
-    #[must_use]
-    pub fn scalar_f64s(&self, dim: usize, swap: usize, dir: usize, reverse: bool) -> usize {
-        if reverse {
-            self.ghost_seg[dim][swap][dir].1
-        } else {
-            self.send_lists[dim][swap][dir].len()
-        }
-    }
-
-    /// Accumulate received scalars into send list `(dim, swap, dir)`.
-    pub fn unpack_reverse_scalar(
-        &self,
-        st: &mut RankState,
-        dim: usize,
-        swap: usize,
-        dir: usize,
-        values: &[f64],
-    ) {
-        let list = &self.send_lists[dim][swap][dir];
-        assert_eq!(values.len(), list.len(), "scalar payload size mismatch");
-        for (&i, v) in list.iter().zip(values) {
-            st.scalar[i as usize] += v;
-        }
-    }
-
-    /// Total records sent across all lists (Table 1 volume observable).
-    #[must_use]
-    pub fn total_send_atoms(&self) -> usize {
-        self.send_lists
-            .iter()
-            .flatten()
-            .map(|pair| pair[0].len() + pair[1].len())
-            .sum()
     }
 }
 
@@ -418,26 +222,29 @@ mod tests {
     #[test]
     fn border_selects_slabs_only() {
         let (mut st, links) = setup(vec![[0.5, 5.0, 5.0], [5.0, 5.0, 5.0], [9.5, 5.0, 5.0]]);
-        let mut g = StagedGhosts::default();
-        g.reset(&mut st, 1);
+        let mut g = StagedGhosts::new(1);
+        g.reset(&mut st);
         let p = g.pack_border(&st, &links, 0, 0);
         assert_eq!(p[0].len(), wire::BORDER_RECORD_F64S);
         assert_eq!(p[1].len(), wire::BORDER_RECORD_F64S);
-        assert_eq!(g.send_lists[0][0][0], vec![0]);
-        assert_eq!(g.send_lists[0][0][1], vec![2]);
+        assert_eq!(g.layout.send_lists[g.slot(0, 0, 0)], vec![0]);
+        assert_eq!(g.layout.send_lists[g.slot(0, 0, 1)], vec![2]);
     }
 
     #[test]
     fn carry_forward_ships_prior_dim_ghosts() {
         let (mut st, links) = setup(vec![[5.0, 5.0, 5.0]]);
-        let mut g = StagedGhosts::default();
-        g.reset(&mut st, 1);
+        let mut g = StagedGhosts::new(1);
+        g.reset(&mut st);
         let mut ghost_payload = Vec::new();
         wire::push_border_record(&mut ghost_payload, 99, 1, [-0.5, 0.3, 5.0]);
         g.unpack_border(&mut st, 0, 0, &[ghost_payload, Vec::new()]);
         assert_eq!(st.atoms.nghost(), 1);
         let p = g.pack_border(&st, &links, 1, 0);
-        assert_eq!(g.send_lists[1][0][0], vec![st.atoms.nlocal as u32]);
+        assert_eq!(
+            g.layout.send_lists[g.slot(1, 0, 0)],
+            vec![st.atoms.nlocal as u32]
+        );
         let recs = wire::parse_border_records(&p[0]);
         assert_eq!(recs[0].0, 99, "carried ghost keeps its original tag");
     }
@@ -447,8 +254,8 @@ mod tests {
         // Two swaps: a ghost received from the -x side in swap 0 must be
         // relayed toward +x in swap 1 (and only there).
         let (mut st, links) = setup(vec![[5.0, 5.0, 5.0]]);
-        let mut g = StagedGhosts::default();
-        g.reset(&mut st, 2);
+        let mut g = StagedGhosts::new(2);
+        g.reset(&mut st);
         // Swap 0: receive one ghost from the -x neighbor near my high face
         // band (its shifted position sits below lo, within r of nothing
         // upward... place it so the +x band test passes: r = 2.0, so use
@@ -458,8 +265,11 @@ mod tests {
         g.unpack_border(&mut st, 0, 0, &[from_minus, Vec::new()]);
         let p = g.pack_border(&st, &links, 0, 1);
         // Relayed upward (dir 1), not downward.
-        assert_eq!(g.send_lists[0][1][1], vec![st.atoms.nlocal as u32]);
-        assert!(g.send_lists[0][1][0].is_empty());
+        assert_eq!(
+            g.layout.send_lists[g.slot(0, 1, 1)],
+            vec![st.atoms.nlocal as u32]
+        );
+        assert!(g.layout.send_lists[g.slot(0, 1, 0)].is_empty());
         assert_eq!(wire::parse_border_records(&p[1])[0].0, 77);
         // Locals are NOT rescanned in swap 1 (they shipped in swap 0).
         assert_eq!(p[1].len(), wire::BORDER_RECORD_F64S);
@@ -468,14 +278,19 @@ mod tests {
     #[test]
     fn forward_and_reverse_use_the_same_lists() {
         let (mut st, links) = setup(vec![[0.5, 5.0, 5.0]]);
-        let mut g = StagedGhosts::default();
-        g.reset(&mut st, 1);
+        let mut g = StagedGhosts::new(1);
+        g.reset(&mut st);
         let _ = g.pack_border(&st, &links, 0, 0);
-        let fwd = g.pack_forward(&st, &links, 0, 0, 0);
+        let slot = g.slot(0, 0, 0);
+        assert_eq!(g.layout.f64s(Op::Forward, slot), 3);
+        let mut fwd = Vec::new();
+        g.layout
+            .pack_into(Op::Forward, &st, slot, links[0][0].shift, &mut fwd);
         assert_eq!(fwd.len(), 3);
         assert!(fwd[0] > 10.0, "wrapped shift applied");
         st.atoms.f[0] = [0.0; 3];
-        g.unpack_reverse(&mut st, 0, 0, 0, &[2.0, 0.0, -1.0]);
+        g.layout
+            .unpack(Op::Reverse, &mut st, slot, &[2.0, 0.0, -1.0]);
         assert_eq!(st.atoms.f[0], [2.0, 0.0, -1.0]);
     }
 
@@ -496,8 +311,8 @@ mod tests {
         }
         let natoms = pos.len() as f64;
         let (mut st, links) = setup(pos);
-        let mut g = StagedGhosts::default();
-        g.reset(&mut st, 1);
+        let mut g = StagedGhosts::new(1);
+        g.reset(&mut st);
         for dim in 0..3 {
             let p = g.pack_border(&st, &links, dim, 0);
             g.unpack_border(&mut st, dim, 0, &p);
@@ -506,7 +321,7 @@ mod tests {
         let r = 2.0f64;
         let density = natoms / a.powi(3);
         let expect = density * (6.0 * a * a * r + 12.0 * a * r * r + 8.0 * r * r * r);
-        let got = g.total_send_atoms() as f64;
+        let got = g.layout.send_lists.iter().map(Vec::len).sum::<usize>() as f64;
         let rel = (got - expect).abs() / expect;
         assert!(rel < 0.15, "staged volume {got} vs estimate {expect}");
     }

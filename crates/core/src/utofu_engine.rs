@@ -22,7 +22,7 @@ use crate::fine;
 use crate::p2p::P2pGhosts;
 use crate::plan::NeighborLink;
 use crate::sf::{CommGraph, GraphEdge, SendSelector};
-use crate::three_stage::{round_to_sweep, staged_links, StagedGhosts};
+use crate::three_stage::{staged_links, StagedGhosts};
 use crate::topo_map::RankMap;
 use crate::wire;
 use parking_lot::RwLock;
@@ -48,6 +48,16 @@ enum BufKind {
 }
 
 impl BufKind {
+    /// The inflow buffer `op`'s payloads land in: reduces flow into the
+    /// owner side, everything else into the ghost side.
+    fn inflow(op: Op) -> Self {
+        if op.is_reverse() {
+            BufKind::OwnerIn
+        } else {
+            BufKind::GhostIn
+        }
+    }
+
     fn label(self) -> &'static str {
         match self {
             BufKind::GhostIn => "ghost-in",
@@ -179,6 +189,15 @@ const BASELINE_UNDERSIZE: usize = 4;
 /// Largest record width any op stores per atom (exchange: tag + x + v).
 const MAX_RECORD_F64S: usize = wire::EXCHANGE_RECORD_F64S;
 
+/// One outgoing message of a posted op: the destination buffer and the
+/// bytes that land there.
+struct Put {
+    node: usize,
+    stadd: Stadd,
+    offset: usize,
+    data: Vec<u8>,
+}
+
 struct LinkBuffers {
     /// `[link][slot]` receive buffers. (Capacities live in the address
     /// book, which senders consult before writing.)
@@ -259,72 +278,6 @@ fn put_with_retry(
                     dst_stadd,
                     dst_offset,
                     data,
-                    piggyback,
-                    seq,
-                    cache_injection,
-                );
-            }
-        }
-    }
-}
-
-/// [`put_with_retry`] for the zero-copy path: the payload was serialized
-/// in place into a local registered region (`src_stadd`/`src_offset`), so
-/// there is no staging buffer — the NIC reads the region directly. Same
-/// backoff/fallback protocol.
-#[allow(clippy::too_many_arguments)]
-fn put_region_with_retry(
-    vcq: &mut Vcq,
-    budget: u32,
-    stats: &mut OpStats,
-    op: Op,
-    round: usize,
-    fallback_wanted: &mut bool,
-    now: &mut f64,
-    dst_node: usize,
-    dst_stadd: Stadd,
-    dst_offset: usize,
-    src_stadd: Stadd,
-    src_offset: usize,
-    len: usize,
-    piggyback: u64,
-    seq: u64,
-    cache_injection: bool,
-) -> PutResult {
-    let p = *vcq.net().params();
-    let mut attempt = 0u32;
-    loop {
-        match vcq.try_put_from_region(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            src_stadd,
-            src_offset,
-            len,
-            piggyback,
-            seq,
-            attempt,
-            cache_injection,
-        ) {
-            Ok(r) => return r,
-            Err(_) if attempt < budget => {
-                stats.retry(op, round);
-                *now += p.retry_backoff * f64::from(1u32 << attempt.min(16));
-                attempt += 1;
-            }
-            Err(_) => {
-                stats.fallback(op, round);
-                *fallback_wanted = true;
-                *now += p.fallback_penalty + p.cpu_per_put_mpi;
-                return vcq.put_reliable_from_region(
-                    now,
-                    dst_node,
-                    dst_stadd,
-                    dst_offset,
-                    src_stadd,
-                    src_offset,
-                    len,
                     piggyback,
                     seq,
                     cache_injection,
@@ -573,7 +526,7 @@ impl UtofuP2p {
         sel.get_or_insert_with(|| st.graph.selector())
     }
 
-    /// Destination buffer for a payload to link `k` of `op`.
+    /// Destination buffer for a payload to out-edge `k` of `op`.
     fn dst_of(
         &self,
         st: &RankState,
@@ -581,14 +534,13 @@ impl UtofuP2p {
         k: usize,
         slot: u8,
     ) -> Result<(usize, Stadd, usize), TofuError> {
-        let (link, kind) = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => (&st.graph.send[k], BufKind::GhostIn),
-            Op::Reverse | Op::ReverseScalar => (&st.graph.recv[k], BufKind::OwnerIn),
-            Op::Exchange => unreachable!("exchange uses its own buffer path"),
-        };
-        let (stadd, size) =
-            self.book
-                .lookup(link.rank as u32, kind, link.peer_index as u16, slot)?;
+        let link = &st.graph.out_edges(op)[k];
+        let (stadd, size) = self.book.lookup(
+            link.rank as u32,
+            BufKind::inflow(op),
+            link.peer_index as u16,
+            slot,
+        )?;
         Ok((link.node, stadd, size))
     }
 
@@ -606,11 +558,7 @@ impl UtofuP2p {
         need: usize,
     ) {
         let p = *self.net.params();
-        let (link, kind) = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => (st.graph.send[k], BufKind::GhostIn),
-            Op::Reverse | Op::ReverseScalar => (st.graph.recv[k], BufKind::OwnerIn),
-            Op::Exchange => unreachable!("exchange uses its own buffer path"),
-        };
+        let link = st.graph.out_edges(op)[k];
         let new_size = need.next_power_of_two();
         let cost = self.net.grow_mem(dst_node, stadd, new_size);
         // Handshake round-trip + the remote registration stall.
@@ -618,7 +566,7 @@ impl UtofuP2p {
         st.charge(dt, op);
         self.book.update_size(
             link.rank as u32,
-            kind,
+            BufKind::inflow(op),
             link.peer_index as u16,
             slot,
             new_size,
@@ -627,53 +575,65 @@ impl UtofuP2p {
         self.stats.growth(op, 0);
     }
 
-    /// Post the payloads of one op across the configured threads/VCQs.
-    /// Returns the post-phase completion time charged to the clock.
-    fn post_payloads(
+    /// Start one posted op: advance the round-robin slot cursor and
+    /// reserve one sequence number per out-edge, assigned in edge order so
+    /// the numbering is independent of the thread assignment. Returns
+    /// `(slot, seq_base)`.
+    fn begin_post(&mut self, st: &RankState, op: Op) -> (u8, u64) {
+        let slot = (self.seq % self.cfg.slots) as u8;
+        self.seq += 1;
+        let seq_base = self.send_seq;
+        self.send_seq += st.graph.out_edges(op).len() as u64;
+        (slot, seq_base)
+    }
+
+    /// Resolve `op`'s destination buffers for payloads of `f64s[k]` values
+    /// on out-edge `k`, growing undersized remote buffers first.
+    fn resolve_dsts(
         &mut self,
         st: &mut RankState,
         op: Op,
-        payloads: &[Vec<f64>],
-    ) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let slot = (self.seq % self.cfg.slots) as u8;
-        self.seq += 1;
-        let n = payloads.len();
-        // One sequence number per logical message, assigned in link order
-        // so the numbering is independent of the thread assignment below.
-        let seq_base = self.send_seq;
-        self.send_seq += n as u64;
-        // Pre-resolve destinations, growing undersized buffers first.
-        let mut dsts = Vec::with_capacity(n);
-        for (k, payload) in payloads.iter().enumerate() {
-            let need = wire::combined_size(payload.len());
+        slot: u8,
+        f64s: &[usize],
+    ) -> Result<Vec<(usize, Stadd)>, TofuError> {
+        let mut dsts = Vec::with_capacity(f64s.len());
+        for (k, &len) in f64s.iter().enumerate() {
+            let need = wire::combined_size(len);
             let (node, stadd, size) = self.dst_of(st, op, k, slot)?;
             if need > size {
                 self.grow_remote(st, op, k, slot, node, stadd, need);
             }
-            let (node, stadd, _) = self.dst_of(st, op, k, slot)?;
             dsts.push((node, stadd));
         }
-        // Forward under prereg writes straight into the remote x-region.
-        let direct_x = self.cfg.prereg && op == Op::Forward;
+        Ok(dsts)
+    }
+
+    /// Put one op's messages across the configured threads/VCQs and charge
+    /// the post phase. `puts[k]` is out-edge `k`'s message (`None`: the
+    /// edge sends nothing) and `f64s[k]` its payload size, which drives
+    /// the LPT thread balance. `staged` messages went through a CPU copy:
+    /// each pays `pack_cost` and counts as copied bytes.
+    fn put_all(
+        &mut self,
+        st: &mut RankState,
+        op: Op,
+        seq_base: u64,
+        f64s: &[usize],
+        puts: &[Option<Put>],
+        staged: bool,
+    ) {
+        let p = *self.net.params();
         let start = st.clock;
-        let mut stats_counter: Vec<(usize, usize, usize)> = Vec::new();
-        let mut thread_ends = Vec::new();
-        let costs: Vec<f64> = payloads
+        let edges = st.graph.out_edges(op);
+        let costs: Vec<f64> = f64s
             .iter()
-            .enumerate()
-            .map(|(k, pl)| {
-                let link = match op {
-                    Op::Border | Op::Forward | Op::ForwardScalar => &st.graph.send[k],
-                    _ => &st.graph.recv[k],
-                };
-                fine::link_cost(pl.len() * 8, link.hops, &p)
-            })
+            .zip(edges)
+            .map(|(&len, link)| fine::link_cost(len * 8, link.hops, &p))
             .collect();
         let assignment = if self.cfg.comm_threads > 1 {
             fine::balance_lpt(&costs, self.cfg.comm_threads)
         } else {
-            vec![(0..n).collect::<Vec<_>>()]
+            vec![(0..puts.len()).collect::<Vec<_>>()]
         };
         let region_overhead = if self.cfg.comm_threads > 1 {
             p.pool_region_overhead
@@ -682,67 +642,30 @@ impl UtofuP2p {
             // (§4.2's explanation for 6TNI-single-thread).
             p.vcq_drive_overhead * self.cfg.vcqs as f64
         };
+        let mut thread_ends = Vec::new();
         for (t, links) in assignment.iter().enumerate() {
             let mut now = start + region_overhead;
             for &k in links {
-                let payload = &payloads[k];
-                let bytes = wire::frame_combined(payload);
-                stats_counter.push((k, payload.len() * 8, bytes.len()));
-                now += p.pack_cost(bytes.len());
-                let (dst_node, dst_stadd) = dsts[k];
-                // The receiver indexes payloads by *its own* edge list.
-                let peer_k = match op {
-                    Op::Border | Op::Forward | Op::ForwardScalar => st.graph.send[k].peer_index,
-                    _ => st.graph.recv[k].peer_index,
-                };
-                let vcq = &mut self.vcqs[t % self.cfg.vcqs.max(1)];
-                if direct_x {
-                    // An empty forward (no atoms cross this link) sends
-                    // nothing; the receiver expects arrivals only for its
-                    // non-empty ghost segments.
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    let off = self.remote_ghost_off[k].ok_or(TofuError::PhaseOrder {
-                        node: self.node,
-                        phase: "forward",
-                        missing: "ghost offsets from border",
-                    })?;
-                    let raw = wire::encode_f64s(payload);
-                    let (xs, _) =
-                        self.book
-                            .lookup(st.graph.send[k].rank as u32, BufKind::XRegion, 0, 0)?;
-                    put_with_retry(
-                        vcq,
-                        self.cfg.retry_budget,
-                        &mut self.stats,
-                        op,
-                        0,
-                        &mut self.fallback_wanted,
-                        &mut now,
-                        dst_node,
-                        xs,
-                        off,
-                        &raw,
-                        peer_k as u64,
-                        seq_base + 1 + k as u64,
-                        true,
-                    );
+                let Some(put) = &puts[k] else {
                     continue;
+                };
+                if staged {
+                    now += p.pack_cost(put.data.len());
                 }
+                // The receiver indexes payloads by *its own* edge list.
                 put_with_retry(
-                    vcq,
+                    &mut self.vcqs[t % self.cfg.vcqs.max(1)],
                     self.cfg.retry_budget,
                     &mut self.stats,
                     op,
                     0,
                     &mut self.fallback_wanted,
                     &mut now,
-                    dst_node,
-                    dst_stadd,
-                    0,
-                    &bytes,
-                    peer_k as u64,
+                    put.node,
+                    put.stadd,
+                    put.offset,
+                    &put.data,
+                    edges[k].peer_index as u64,
                     seq_base + 1 + k as u64,
                     true,
                 );
@@ -750,69 +673,59 @@ impl UtofuP2p {
             thread_ends.push(now);
         }
         let end = thread_ends.into_iter().fold(start, f64::max);
-        // Count payload messages (raw bytes for direct x-writes, framed
-        // otherwise; skipped empties under direct_x are not counted).
-        // Framed messages passed through `frame_combined`'s staging copy;
-        // direct x-writes staged through `encode_f64s`.
-        for (k, raw, framed) in stats_counter {
-            if direct_x {
-                if !payloads[k].is_empty() {
-                    self.stats.count(op, 0, raw);
-                    self.stats.copied(op, 0, raw);
-                }
-            } else {
-                self.stats.count(op, 0, framed);
-                self.stats.copied(op, 0, framed);
+        for put in puts.iter().flatten() {
+            self.stats.count(op, 0, put.data.len());
+            if staged {
+                self.stats.copied(op, 0, put.data.len());
             }
         }
         st.charge(end - start, op);
+    }
+
+    /// Post the border payloads. Border discovers its payloads while
+    /// packing, so it stays on the staged path: each frame is built
+    /// through a copy (`frame_combined`), charged and counted.
+    fn post_border(&mut self, st: &mut RankState, payloads: &[Vec<f64>]) -> Result<(), TofuError> {
+        let op = Op::Border;
+        let (slot, seq_base) = self.begin_post(st, op);
+        let f64s: Vec<usize> = payloads.iter().map(Vec::len).collect();
+        let dsts = self.resolve_dsts(st, op, slot, &f64s)?;
+        let puts: Vec<_> = dsts
+            .iter()
+            .zip(payloads)
+            .map(|(&(node, stadd), payload)| {
+                Some(Put {
+                    node,
+                    stadd,
+                    offset: 0,
+                    data: wire::frame_combined(payload),
+                })
+            })
+            .collect();
+        self.put_all(st, op, seq_base, &f64s, &puts, true);
         Ok(())
     }
 
     /// Zero-copy post for the repeated ghost ops (forward/reverse and the
     /// EAM scalars): the payload sizes are known from the ghost layout, so
     /// each frame is serialized *in place* into this rank's registered
-    /// `send_out` region and put straight from there — no intermediate
+    /// `send_out` region and the NIC puts it from there — no intermediate
     /// `Vec`, no staging `frame_combined` copy, no pack cost charged, and
-    /// `bytes_copied` stays at zero for these ops. Border and exchange
-    /// (which discover their payloads while packing) stay on the staged
-    /// [`UtofuP2p::post_payloads`] path, measured for comparison.
+    /// `bytes_copied` stays at zero for these ops.
     fn post_direct(&mut self, st: &mut RankState, op: Op) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let slot = (self.seq % self.cfg.slots) as u8;
-        self.seq += 1;
-        let n = match op {
-            Op::Forward | Op::ForwardScalar => st.graph.send.len(),
-            _ => st.graph.recv.len(),
-        };
-        let seq_base = self.send_seq;
-        self.send_seq += n as u64;
-        // Payload sizes fall out of the ghost layout before any packing.
-        let f64s: Vec<usize> = (0..n)
-            .map(|k| match op {
-                Op::Forward => self.ghosts.forward_f64s(k),
-                Op::Reverse => self.ghosts.reverse_f64s(k),
-                Op::ForwardScalar => self.ghosts.scalar_f64s(k, false),
-                Op::ReverseScalar => self.ghosts.scalar_f64s(k, true),
-                _ => unreachable!("post_direct handles only the ghost ops"),
-            })
-            .collect();
-        // Pre-resolve destinations, growing undersized remote buffers.
-        let mut dsts = Vec::with_capacity(n);
+        let (slot, seq_base) = self.begin_post(st, op);
+        let n = st.graph.out_edges(op).len();
+        let f64s: Vec<usize> = (0..n).map(|k| self.ghosts.layout.f64s(op, k)).collect();
+        let dsts = self.resolve_dsts(st, op, slot, &f64s)?;
+        // Forward under prereg writes straight into the remote x-region:
+        // the raw values start right after the frame header, so the same
+        // in-place serialization serves both put shapes.
+        let direct_x = self.cfg.prereg && op == Op::Forward;
+        let mut puts = Vec::with_capacity(n);
         for (k, &len) in f64s.iter().enumerate() {
-            let need = wire::combined_size(len);
-            let (node, stadd, size) = self.dst_of(st, op, k, slot)?;
-            if need > size {
-                self.grow_remote(st, op, k, slot, node, stadd, need);
-            }
-            let (node, stadd, _) = self.dst_of(st, op, k, slot)?;
-            dsts.push((node, stadd));
-        }
-        // Serialize every frame in place. Local regions are sized to the
-        // theoretical maximum at build; growth here is a local
-        // re-registration, charged but not a remote handshake.
-        let mut framed = Vec::with_capacity(n);
-        for (k, &len) in f64s.iter().enumerate() {
+            // Local regions are sized to the theoretical maximum at build;
+            // growth here is a local re-registration, charged but not a
+            // remote handshake.
             let need = wire::combined_size(len);
             if need > self.send_out_size[k] {
                 let new_size = need.next_power_of_two();
@@ -820,123 +733,53 @@ impl UtofuP2p {
                 self.send_out_size[k] = new_size;
                 st.charge(cost, op);
             }
-            let ghosts = &self.ghosts;
-            let bytes = self
+            let layout = &self.ghosts.layout;
+            let shift = st.graph.out_edges(op)[k].shift;
+            let framed = self
                 .net
                 .write_local_with(self.node, self.send_out[k], 0, need, |buf| {
                     let mut w = wire::CombinedWriter::new(buf);
-                    match op {
-                        Op::Forward => ghosts.pack_forward_into(st, k, &mut w),
-                        Op::Reverse => ghosts.pack_reverse_into(st, k, &mut w),
-                        Op::ForwardScalar => ghosts.pack_forward_scalar_into(st, k, &mut w),
-                        Op::ReverseScalar => ghosts.pack_reverse_scalar_into(st, k, &mut w),
-                        _ => unreachable!("post_direct handles only the ghost ops"),
-                    }
+                    layout.pack_into(op, st, k, shift, &mut w);
                     w.finish()
                 });
-            framed.push(bytes);
-        }
-        // Forward under prereg writes straight into the remote x-region:
-        // the raw values start right after the frame header, so the same
-        // in-place serialization serves both put shapes.
-        let direct_x = self.cfg.prereg && op == Op::Forward;
-        let start = st.clock;
-        let costs: Vec<f64> = f64s
-            .iter()
-            .enumerate()
-            .map(|(k, &len)| {
-                let link = match op {
-                    Op::Forward | Op::ForwardScalar => &st.graph.send[k],
-                    _ => &st.graph.recv[k],
-                };
-                fine::link_cost(len * 8, link.hops, &p)
-            })
-            .collect();
-        let assignment = if self.cfg.comm_threads > 1 {
-            fine::balance_lpt(&costs, self.cfg.comm_threads)
-        } else {
-            vec![(0..n).collect::<Vec<_>>()]
-        };
-        let region_overhead = if self.cfg.comm_threads > 1 {
-            p.pool_region_overhead
-        } else {
-            p.vcq_drive_overhead * self.cfg.vcqs as f64
-        };
-        let mut thread_ends = Vec::new();
-        for (t, links) in assignment.iter().enumerate() {
-            let mut now = start + region_overhead;
-            for &k in links {
-                let (dst_node, dst_stadd) = dsts[k];
-                let peer_k = match op {
-                    Op::Forward | Op::ForwardScalar => st.graph.send[k].peer_index,
-                    _ => st.graph.recv[k].peer_index,
-                };
-                let vcq = &mut self.vcqs[t % self.cfg.vcqs.max(1)];
-                if direct_x {
-                    if f64s[k] == 0 {
-                        continue;
-                    }
-                    let off = self.remote_ghost_off[k].ok_or(TofuError::PhaseOrder {
-                        node: self.node,
-                        phase: "forward",
-                        missing: "ghost offsets from border",
-                    })?;
-                    let (xs, _) =
-                        self.book
-                            .lookup(st.graph.send[k].rank as u32, BufKind::XRegion, 0, 0)?;
-                    put_region_with_retry(
-                        vcq,
-                        self.cfg.retry_budget,
-                        &mut self.stats,
-                        op,
-                        0,
-                        &mut self.fallback_wanted,
-                        &mut now,
-                        dst_node,
-                        xs,
-                        off,
+            let (node, stadd) = dsts[k];
+            // The NIC reads the frame from the registered region.
+            let put = if !direct_x {
+                Some(Put {
+                    node,
+                    stadd,
+                    offset: 0,
+                    data: self.net.read_local(self.node, self.send_out[k], 0, framed),
+                })
+            } else if len == 0 {
+                // An empty forward (no atoms cross this link) sends
+                // nothing; the receiver expects arrivals only for its
+                // non-empty ghost segments.
+                None
+            } else {
+                let offset = self.remote_ghost_off[k].ok_or(TofuError::PhaseOrder {
+                    node: self.node,
+                    phase: "forward",
+                    missing: "ghost offsets from border",
+                })?;
+                let (xs, _) =
+                    self.book
+                        .lookup(st.graph.send[k].rank as u32, BufKind::XRegion, 0, 0)?;
+                Some(Put {
+                    node,
+                    stadd: xs,
+                    offset,
+                    data: self.net.read_local(
+                        self.node,
                         self.send_out[k],
                         wire::COMBINED_HEADER_BYTES,
-                        f64s[k] * 8,
-                        peer_k as u64,
-                        seq_base + 1 + k as u64,
-                        true,
-                    );
-                    continue;
-                }
-                put_region_with_retry(
-                    vcq,
-                    self.cfg.retry_budget,
-                    &mut self.stats,
-                    op,
-                    0,
-                    &mut self.fallback_wanted,
-                    &mut now,
-                    dst_node,
-                    dst_stadd,
-                    0,
-                    self.send_out[k],
-                    0,
-                    framed[k],
-                    peer_k as u64,
-                    seq_base + 1 + k as u64,
-                    true,
-                );
-            }
-            thread_ends.push(now);
+                        len * 8,
+                    ),
+                })
+            };
+            puts.push(put);
         }
-        let end = thread_ends.into_iter().fold(start, f64::max);
-        // Count messages; nothing staged, so `bytes_copied` stays 0.
-        for (k, &len) in f64s.iter().enumerate() {
-            if direct_x {
-                if len > 0 {
-                    self.stats.count(op, 0, len * 8);
-                }
-            } else {
-                self.stats.count(op, 0, framed[k]);
-            }
-        }
-        st.charge(end - start, op);
+        self.put_all(st, op, seq_base, &f64s, &puts, false);
         Ok(())
     }
 
@@ -945,15 +788,12 @@ impl UtofuP2p {
         let p = *self.net.params();
         let n = st.graph.recv.len();
         // Identify which stadds we expect for this op.
-        let expected: Vec<Stadd> = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => {
-                self.ghost_in.bufs.iter().flatten().copied().collect()
-            }
-            Op::Reverse | Op::ReverseScalar => {
-                self.owner_in.bufs.iter().flatten().copied().collect()
-            }
-            Op::Exchange => unreachable!("exchange has a dedicated receive path"),
+        let inflow = if op.is_reverse() {
+            &self.owner_in
+        } else {
+            &self.ghost_in
         };
+        let expected: Vec<Stadd> = inflow.bufs.iter().flatten().copied().collect();
         let direct_x = self.cfg.prereg && op == Op::Forward;
         let (arrivals, t, anomalies) = if direct_x {
             let xs = self.x_region.ok_or(TofuError::PhaseOrder {
@@ -964,6 +804,7 @@ impl UtofuP2p {
             // Empty segments produce no message (§3.4 direct writes).
             let expected_n = self
                 .ghosts
+                .layout
                 .ghost_seg
                 .iter()
                 .filter(|&&(_, count)| count > 0)
@@ -986,6 +827,7 @@ impl UtofuP2p {
             let k = if direct_x {
                 // Offset identifies the ghost segment, hence the link.
                 self.ghosts
+                    .layout
                     .ghost_seg
                     .iter()
                     .position(|&(start, count)| count > 0 && start * 24 == a.offset)
@@ -1013,7 +855,7 @@ impl UtofuP2p {
         // term of Fig. 15), plus the unpack copy (skipped for direct
         // x-region writes).
         let n_bufs = if direct_x {
-            self.ghosts.ghost_seg.len()
+            self.ghosts.layout.ghost_seg.len()
         } else {
             expected.len()
         };
@@ -1039,7 +881,7 @@ impl UtofuP2p {
         let seq_base = self.send_seq;
         self.send_seq += n as u64;
         for k in 0..n {
-            let (start, _count) = self.ghosts.ghost_seg[k];
+            let (start, _count) = self.ghosts.layout.ghost_seg[k];
             let link = &st.graph.recv[k];
             // Target the provider's OwnerIn buffer (same inflow direction
             // as a reverse message); zero-length write, descriptor-only.
@@ -1233,55 +1075,41 @@ impl GhostEngine for UtofuP2p {
             Op::Border => {
                 let sel = Self::sel(&mut self.sel, st);
                 let payloads = self.ghosts.pack_border(st, sel);
-                self.post_payloads(st, op, &payloads)
+                self.post_border(st, &payloads)
             }
-            Op::Forward => {
-                if self.cfg.prereg && self.remote_ghost_off.iter().any(Option::is_none) {
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                if op == Op::Forward
+                    && self.cfg.prereg
+                    && self.remote_ghost_off.iter().any(Option::is_none)
+                {
                     self.recv_ghost_offsets(st)?;
                 }
                 self.post_direct(st, op)
             }
-            Op::ForwardScalar | Op::Reverse | Op::ReverseScalar => self.post_direct(st, op),
         }
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        if op == Op::Exchange {
-            return self.complete_exchange(st, round);
-        }
-        let payloads = self.wait_payloads(st, op)?;
         match op {
+            Op::Exchange => self.complete_exchange(st, round),
             Op::Border => {
+                let payloads = self.wait_payloads(st, op)?;
                 self.ghosts.unpack_border(st, &payloads);
                 st.scalar.resize(st.atoms.ntotal(), 0.0);
                 if self.cfg.prereg {
                     self.remote_ghost_off.fill(None);
                     self.send_ghost_offsets(st)?;
                 }
+                Ok(())
             }
-            Op::Forward => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward(st, k, v);
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let payloads = self.wait_payloads(st, op)?;
+                for (k, values) in payloads.iter().enumerate() {
+                    self.ghosts.layout.unpack(op, st, k, values);
                 }
+                Ok(())
             }
-            Op::ForwardScalar => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_forward_scalar(st, k, v);
-                }
-            }
-            Op::Reverse => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse(st, k, v);
-                }
-            }
-            Op::ReverseScalar => {
-                for (k, v) in payloads.iter().enumerate() {
-                    self.ghosts.unpack_reverse_scalar(st, k, v);
-                }
-            }
-            Op::Exchange => unreachable!("handled by the early return above"),
         }
-        Ok(())
     }
 
     fn setup_cost(&self) -> f64 {
@@ -1304,8 +1132,6 @@ pub struct UtofuThreeStage {
     node: usize,
     links: [[NeighborLink; 2]; 3],
     ghosts: StagedGhosts,
-    /// Swaps per dimension (the plan's shell count).
-    shells: usize,
     /// `[dim*2+dir][0]` inflow buffers (single slot).
     ghost_in: Vec<Stadd>,
     owner_in: Vec<Stadd>,
@@ -1381,8 +1207,7 @@ impl UtofuThreeStage {
             book,
             node,
             links,
-            ghosts: StagedGhosts::default(),
-            shells,
+            ghosts: StagedGhosts::new(shells),
             ghost_in,
             owner_in,
             send_out,
@@ -1396,33 +1221,50 @@ impl UtofuThreeStage {
         }
     }
 
-    /// Send the two payloads of sweep `dim`: ghost-side ops flow toward
-    /// `links[dim][dir]`'s GhostIn, reverse ops toward OwnerIn. The
-    /// receiver's buffer index encodes the *receiver-side* direction
-    /// `1 - dir`.
+    /// The face buffers `op` lands in: [`BufKind::inflow`], with
+    /// migration riding the owner-side set.
+    fn inflow(op: Op) -> BufKind {
+        if op == Op::Exchange {
+            BufKind::OwnerIn
+        } else {
+            BufKind::inflow(op)
+        }
+    }
+
+    /// Send the two messages of sweep `(dim, swap)` toward
+    /// `links[dim][dir]`'s inflow buffer, whose index encodes the
+    /// *receiver-side* direction `1 - dir`.
+    ///
+    /// `staged` payloads (Border and Exchange, which discover their
+    /// payloads while packing) are framed through a copy, charged
+    /// `pack_cost` and counted as copied. The ghost ops pass `None`: their
+    /// sizes follow from the staged layout, so each frame is serialized
+    /// in place into this rank's registered `send_out` region and put
+    /// from there — no staging copy, no pack cost, no copied bytes.
     fn send_pair(
         &mut self,
         st: &mut RankState,
         op: Op,
         round: usize,
-        dim: usize,
-        payloads: &[Vec<f64>; 2],
+        (dim, swap): (usize, usize),
+        staged: Option<&[Vec<f64>; 2]>,
     ) -> Result<(), TofuError> {
         let p = *self.net.params();
-        let kind = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => BufKind::GhostIn,
-            _ => BufKind::OwnerIn,
-        };
+        let kind = Self::inflow(op);
         let seq_base = self.send_seq;
         self.send_seq += 2;
         let mut now = st.clock;
-        for (dir, payload) in payloads.iter().enumerate() {
+        for dir in 0..2 {
             let link = self.links[dim][dir];
             let rx_idx = (dim * 2 + (1 - dir)) as u16;
+            let slot = self.ghosts.slot(dim, swap, dir);
+            let need = wire::combined_size(match staged {
+                Some(payloads) => payloads[dir].len(),
+                None => self.ghosts.layout.f64s(op, slot),
+            });
             let (stadd, size) = self.book.lookup(link.rank as u32, kind, rx_idx, 0)?;
-            let bytes = wire::frame_combined(payload);
-            if bytes.len() > size {
-                let new_size = bytes.len().next_power_of_two();
+            if need > size {
+                let new_size = need.next_power_of_two();
                 let cost = self.net.grow_mem(link.node, stadd, new_size);
                 now += 2.0 * p.wire_time(0, link.hops) + cost;
                 self.book
@@ -1430,9 +1272,32 @@ impl UtofuThreeStage {
                 self.growth_events += 1;
                 self.stats.growth(op, round);
             }
-            now += p.pack_cost(bytes.len());
+            let bytes = if let Some(payloads) = staged {
+                let bytes = wire::frame_combined(&payloads[dir]);
+                now += p.pack_cost(bytes.len());
+                self.stats.copied(op, round, bytes.len());
+                bytes
+            } else {
+                let out = dim * 2 + dir;
+                if need > self.send_out_size[out] {
+                    let new_size = need.next_power_of_two();
+                    now += self.net.grow_mem(self.node, self.send_out[out], new_size);
+                    self.send_out_size[out] = new_size;
+                }
+                let layout = &self.ghosts.layout;
+                let shift = link.shift;
+                let framed =
+                    self.net
+                        .write_local_with(self.node, self.send_out[out], 0, need, |buf| {
+                            let mut w = wire::CombinedWriter::new(buf);
+                            layout.pack_into(op, st, slot, shift, &mut w);
+                            w.finish()
+                        });
+                // The NIC reads the frame from the registered region.
+                self.net
+                    .read_local(self.node, self.send_out[out], 0, framed)
+            };
             self.stats.count(op, round, bytes.len());
-            self.stats.copied(op, round, bytes.len());
             put_with_retry(
                 &mut self.vcq,
                 UtofuConfig::DEFAULT_RETRY_BUDGET,
@@ -1454,101 +1319,6 @@ impl UtofuThreeStage {
         Ok(())
     }
 
-    /// Zero-copy variant of [`UtofuThreeStage::send_pair`] for the
-    /// repeated ghost ops: payload sizes follow from the staged ghost
-    /// layout, so each frame is serialized in place into this rank's
-    /// registered `send_out` region and put straight from there — no
-    /// staging copy, no pack cost, and `bytes_copied` stays 0. Border
-    /// and exchange (which discover their payloads while packing) stay
-    /// on the staged [`UtofuThreeStage::send_pair`] path, measured.
-    fn send_pair_direct(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        dim: usize,
-        swap: usize,
-    ) -> Result<(), TofuError> {
-        let p = *self.net.params();
-        let kind = match op {
-            Op::Forward | Op::ForwardScalar => BufKind::GhostIn,
-            _ => BufKind::OwnerIn,
-        };
-        let seq_base = self.send_seq;
-        self.send_seq += 2;
-        let mut now = st.clock;
-        for dir in 0..2 {
-            let link = self.links[dim][dir];
-            let rx_idx = (dim * 2 + (1 - dir)) as u16;
-            let f64s = match op {
-                Op::Forward => self.ghosts.forward_f64s(dim, swap, dir),
-                Op::Reverse => self.ghosts.reverse_f64s(dim, swap, dir),
-                Op::ForwardScalar => self.ghosts.scalar_f64s(dim, swap, dir, false),
-                Op::ReverseScalar => self.ghosts.scalar_f64s(dim, swap, dir, true),
-                _ => unreachable!("send_pair_direct handles only the ghost ops"),
-            };
-            let need = wire::combined_size(f64s);
-            let (stadd, size) = self.book.lookup(link.rank as u32, kind, rx_idx, 0)?;
-            if need > size {
-                let new_size = need.next_power_of_two();
-                let cost = self.net.grow_mem(link.node, stadd, new_size);
-                now += 2.0 * p.wire_time(0, link.hops) + cost;
-                self.book
-                    .update_size(link.rank as u32, kind, rx_idx, 0, new_size);
-                self.growth_events += 1;
-                self.stats.growth(op, round);
-            }
-            let out = dim * 2 + dir;
-            if need > self.send_out_size[out] {
-                let new_size = need.next_power_of_two();
-                now += self.net.grow_mem(self.node, self.send_out[out], new_size);
-                self.send_out_size[out] = new_size;
-            }
-            let ghosts = &self.ghosts;
-            let links = &self.links;
-            let framed = self
-                .net
-                .write_local_with(self.node, self.send_out[out], 0, need, |buf| {
-                    let mut w = wire::CombinedWriter::new(buf);
-                    match op {
-                        Op::Forward => {
-                            ghosts.pack_forward_into(st, links, dim, swap, dir, &mut w);
-                        }
-                        Op::Reverse => ghosts.pack_reverse_into(st, dim, swap, dir, &mut w),
-                        Op::ForwardScalar => {
-                            ghosts.pack_forward_scalar_into(st, dim, swap, dir, &mut w);
-                        }
-                        Op::ReverseScalar => {
-                            ghosts.pack_reverse_scalar_into(st, dim, swap, dir, &mut w);
-                        }
-                        _ => unreachable!("send_pair_direct handles only the ghost ops"),
-                    }
-                    w.finish()
-                });
-            self.stats.count(op, round, framed);
-            put_region_with_retry(
-                &mut self.vcq,
-                UtofuConfig::DEFAULT_RETRY_BUDGET,
-                &mut self.stats,
-                op,
-                round,
-                &mut self.fallback_wanted,
-                &mut now,
-                link.node,
-                stadd,
-                0,
-                self.send_out[out],
-                0,
-                framed,
-                rx_idx as u64,
-                seq_base + 1 + dir as u64,
-                true,
-            );
-        }
-        st.charge(now - st.clock, op);
-        Ok(())
-    }
-
     /// Wait for the two sweep-`dim` messages; returns `[from -dim, from
     /// +dim]` payloads.
     fn recv_pair(
@@ -1558,8 +1328,8 @@ impl UtofuThreeStage {
         dim: usize,
     ) -> Result<[Vec<f64>; 2], TofuError> {
         let p = *self.net.params();
-        let bufs = match op {
-            Op::Border | Op::Forward | Op::ForwardScalar => &self.ghost_in,
+        let bufs = match Self::inflow(op) {
+            BufKind::GhostIn => &self.ghost_in,
             _ => &self.owner_in,
         };
         let want = [bufs[dim * 2], bufs[dim * 2 + 1]];
@@ -1591,7 +1361,7 @@ impl GhostEngine for UtofuThreeStage {
         if op == Op::Exchange {
             3
         } else {
-            3 * self.shells
+            3 * self.ghosts.swaps()
         }
     }
 
@@ -1599,24 +1369,19 @@ impl GhostEngine for UtofuThreeStage {
         match op {
             Op::Border => {
                 if round == 0 {
-                    self.ghosts.reset(st, self.shells);
+                    self.ghosts.reset(st);
                 }
-                let (dim, swap) = round_to_sweep(round, self.shells);
+                let (dim, swap) = self.ghosts.sweep(op, round);
                 let payloads = self.ghosts.pack_border(st, &self.links, dim, swap);
-                self.send_pair(st, op, round, dim, &payloads)
+                self.send_pair(st, op, round, (dim, swap), Some(&payloads))
             }
-            Op::Forward | Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                self.send_pair_direct(st, op, round, dim, swap)
-            }
-            Op::Reverse | Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                self.send_pair_direct(st, op, round, dim, swap)
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let sweep = self.ghosts.sweep(op, round);
+                self.send_pair(st, op, round, sweep, None)
             }
             Op::Exchange => {
                 let payloads = st.pack_exchange(round);
-                self.send_pair(st, op, round, round, &payloads)
+                self.send_pair(st, op, round, (round, 0), Some(&payloads))
             }
         }
     }
@@ -1624,49 +1389,23 @@ impl GhostEngine for UtofuThreeStage {
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
         match op {
             Op::Border => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
+                let (dim, swap) = self.ghosts.sweep(op, round);
                 let payloads = self.recv_pair(st, op, dim)?;
                 self.ghosts.unpack_border(st, dim, swap, &payloads);
                 st.scalar.resize(st.atoms.ntotal(), 0.0);
+            }
+            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
+                let (dim, swap) = self.ghosts.sweep(op, round);
+                let payloads = self.recv_pair(st, op, dim)?;
+                for (dir, values) in payloads.iter().enumerate() {
+                    let slot = self.ghosts.slot(dim, swap, dir);
+                    self.ghosts.layout.unpack(op, st, slot, values);
+                }
             }
             Op::Exchange => {
                 let payloads = self.recv_pair(st, op, round)?;
                 for p in &payloads {
                     st.unpack_exchange(p);
-                }
-            }
-            Op::Forward => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ForwardScalar => {
-                let (dim, swap) = round_to_sweep(round, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_forward_scalar(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::Reverse => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse(st, dim, swap, dir, &payloads[dir]);
-                }
-            }
-            Op::ReverseScalar => {
-                let idx = 3 * self.shells - 1 - round;
-                let (dim, swap) = round_to_sweep(idx, self.shells);
-                let payloads = self.recv_pair(st, op, dim)?;
-                for dir in 0..2 {
-                    self.ghosts
-                        .unpack_reverse_scalar(st, dim, swap, dir, &payloads[dir]);
                 }
             }
         }

@@ -5,52 +5,50 @@
 //! making the first 8 bytes of the single message the element count. Both
 //! protocols are implemented here so the ablation bench can compare them.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// Serialize a flat `f64` slice to little-endian bytes.
 #[must_use]
-pub fn encode_f64s(values: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(values.len() * 8);
+pub fn encode_f64s(values: &[f64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(values.len() * 8);
     for v in values {
-        buf.put_f64_le(*v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserialize little-endian bytes into `f64`s. Panics if the length is not
 /// a multiple of 8 (a framing bug, not a recoverable condition).
 #[must_use]
-pub fn decode_f64s(mut bytes: &[u8]) -> Vec<f64> {
+pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
     assert!(
         bytes.len().is_multiple_of(8),
         "payload not f64-aligned: {}",
         bytes.len()
     );
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    while bytes.has_remaining() {
-        out.push(bytes.get_f64_le());
-    }
-    out
+    bytes
+        .chunks_exact(8)
+        .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        .collect()
 }
 
 /// Message-combine framing: `[count: u64 LE][count * f64]` in one message.
 #[must_use]
-pub fn frame_combined(values: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + values.len() * 8);
-    buf.put_u64_le(values.len() as u64);
+pub fn frame_combined(values: &[f64]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + values.len() * 8);
+    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
     for v in values {
-        buf.put_f64_le(*v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    buf.freeze()
+    buf
 }
 
 /// Parse a combined frame; tolerates trailing slack (receive buffers are
 /// sized for the maximum message, the count field says how much is real).
 #[must_use]
 pub fn parse_combined(bytes: &[u8]) -> Vec<f64> {
-    assert!(bytes.len() >= 8, "combined frame shorter than its header");
-    let mut hdr = &bytes[..8];
-    let count = hdr.get_u64_le() as usize;
+    let Some(&hdr) = bytes.first_chunk::<8>() else {
+        panic!("combined frame shorter than its header");
+    };
+    let count = u64::from_le_bytes(hdr) as usize;
     let need = 8 + count * 8;
     assert!(
         bytes.len() >= need,
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn combined_frame_tolerates_slack() {
         let vals = vec![9.0, -9.0];
-        let mut padded = frame_combined(&vals).to_vec();
+        let mut padded = frame_combined(&vals);
         padded.extend_from_slice(&[0u8; 64]); // max-size recv buffer slack
         assert_eq!(parse_combined(&padded), vals);
     }
@@ -271,7 +269,7 @@ mod tests {
         assert_eq!(w.count(), vals.len());
         let len = w.finish();
         assert_eq!(len, combined_size(vals.len()));
-        assert_eq!(&buf[..len], frame_combined(&vals).as_ref());
+        assert_eq!(buf[..len], frame_combined(&vals)[..]);
         // Slack past the frame is untouched and tolerated by the parser.
         assert_eq!(parse_combined(&buf), vals);
     }
@@ -282,7 +280,7 @@ mod tests {
         let w = CombinedWriter::new(&mut buf);
         assert_eq!(w.capacity(), 0);
         assert_eq!(w.finish(), combined_size(0));
-        assert_eq!(&buf[..], frame_combined(&[]).as_ref());
+        assert_eq!(buf[..], frame_combined(&[])[..]);
     }
 
     #[test]

@@ -158,70 +158,6 @@ impl Vcq {
         })
     }
 
-    /// One-sided put sourcing its payload from one of this node's *own*
-    /// registered regions — the zero-copy wire path. The frame was
-    /// serialized in place (see [`TofuNet::write_local_with`]); the read
-    /// here models the NIC's DMA from the registered source region, not a
-    /// CPU staging copy, so callers charge no pack cost. Faultable like
-    /// [`Vcq::try_put`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_put_from_region(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        src_stadd: Stadd,
-        src_offset: usize,
-        len: usize,
-        piggyback: u64,
-        seq: u64,
-        attempt: u32,
-        cache_injection: bool,
-    ) -> Result<PutResult, TofuError> {
-        let data = self.net.read_local(self.node, src_stadd, src_offset, len);
-        self.try_put(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            &data,
-            piggyback,
-            seq,
-            attempt,
-            cache_injection,
-        )
-    }
-
-    /// Reliable-path counterpart of [`Vcq::try_put_from_region`] (the
-    /// escape hatch after a retry budget is exhausted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_reliable_from_region(
-        &mut self,
-        now: &mut f64,
-        dst_node: usize,
-        dst_stadd: Stadd,
-        dst_offset: usize,
-        src_stadd: Stadd,
-        src_offset: usize,
-        len: usize,
-        piggyback: u64,
-        seq: u64,
-        cache_injection: bool,
-    ) -> PutResult {
-        let data = self.net.read_local(self.node, src_stadd, src_offset, len);
-        self.put_reliable(
-            now,
-            dst_node,
-            dst_stadd,
-            dst_offset,
-            &data,
-            piggyback,
-            seq,
-            cache_injection,
-        )
-    }
-
     /// Piggyback-only put: 8 bytes embedded in the descriptor, no buffer
     /// write (§3.4's low-latency offset exchange).
     pub fn put_piggyback(
@@ -392,27 +328,6 @@ mod tests {
         assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
         assert!(r.remote_arrival > now);
         assert_eq!(net.read_local(1, dst, 0, 4), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn put_from_region_carries_in_place_frame() {
-        let net = net();
-        let (dst, _) = net.register_mem(1, 16);
-        let (src, _) = net.register_mem(0, 16);
-        net.write_local_with(0, src, 0, 8, |buf| {
-            buf.copy_from_slice(&[5, 6, 7, 8, 9, 10, 11, 12]);
-        });
-        let mut vcq = Vcq::create(net.clone(), 0, 0, 0).unwrap();
-        let mut now = 0.0;
-        let r = vcq
-            .try_put_from_region(&mut now, 1, dst, 0, src, 2, 4, 0, 0, 0, false)
-            .unwrap();
-        assert!((now - net.params().cpu_per_put_utofu).abs() < 1e-15);
-        assert!(r.remote_arrival > now);
-        assert_eq!(net.read_local(1, dst, 0, 4), vec![7, 8, 9, 10]);
-        // Reliable variant delivers the same bytes at another offset.
-        vcq.put_reliable_from_region(&mut now, 1, dst, 4, src, 0, 4, 0, 1, false);
-        assert_eq!(net.read_local(1, dst, 4, 4), vec![5, 6, 7, 8]);
     }
 
     #[test]

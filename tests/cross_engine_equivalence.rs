@@ -71,27 +71,41 @@ fn lj_variants_match_serial_over_30_steps() {
     }
 }
 
+/// EAM is the one potential that runs all four repeated ghost ops: every
+/// step forwards F' to the ghosts and folds ghost rho back to the owners,
+/// so every engine's scalar pair is checked against the serial twin here.
 #[test]
-fn eam_opt_matches_serial_over_20_steps() {
+fn eam_variants_match_serial_over_20_steps() {
     let cfg = RunConfig::eam(6000);
-    let mut c = Cluster::new(MESH, cfg, CommVariant::Opt);
-    let mut s = serial_twin(&c, &cfg);
-    s.run(20);
-    c.run(20);
-    let snap = s.snapshot();
-    let t = c.thermo();
-    assert!(
-        (t.pe - snap.pe).abs() / snap.pe.abs() < 1e-9,
-        "EAM pe {} vs serial {}",
-        t.pe,
-        snap.pe
-    );
-    assert!(
-        (t.ke - snap.ke).abs() / snap.ke < 1e-9,
-        "EAM ke {} vs serial {}",
-        t.ke,
-        snap.ke
-    );
+    let mut reference: Option<(f64, f64)> = None;
+    for variant in CommVariant::STEP_BY_STEP
+        .into_iter()
+        .chain([CommVariant::MpiP2p])
+    {
+        let mut c = Cluster::new(MESH, cfg, variant);
+        let (pe_ref, ke_ref) = *reference.get_or_insert_with(|| {
+            let mut s = serial_twin(&c, &cfg);
+            s.run(20);
+            let snap = s.snapshot();
+            (snap.pe, snap.ke)
+        });
+        c.run(20);
+        let t = c.thermo();
+        assert!(
+            (t.pe - pe_ref).abs() / pe_ref.abs() < 1e-9,
+            "{}: EAM pe {} vs serial {}",
+            variant.label(),
+            t.pe,
+            pe_ref
+        );
+        assert!(
+            (t.ke - ke_ref).abs() / ke_ref < 1e-9,
+            "{}: EAM ke {} vs serial {}",
+            variant.label(),
+            t.ke,
+            ke_ref
+        );
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tofumd::comm::border_bin::BorderBins;
-use tofumd::comm::engine::RankState;
+use tofumd::comm::engine::{Op, RankState};
 use tofumd::comm::p2p::P2pGhosts;
 use tofumd::comm::plan::{CommPlan, PlanConfig};
 use tofumd::comm::sf::CommGraph;
@@ -148,10 +148,17 @@ proptest! {
                 }
             }
         }
-        // Forward payload lengths always match send-list lengths.
-        for k in 0..st.graph.send.len() {
-            let fwd = g.pack_forward(&st, k);
-            prop_assert_eq!(fwd.len(), g.send_lists[k].len() * 3);
+        // Forward payloads carry every send-list atom's shifted position.
+        for (k, edge) in st.graph.send.iter().enumerate() {
+            let mut fwd = Vec::new();
+            g.layout.pack_into(Op::Forward, &st, k, edge.shift, &mut fwd);
+            prop_assert_eq!(fwd.len(), g.layout.f64s(Op::Forward, k));
+            prop_assert_eq!(fwd.len(), g.layout.send_lists[k].len() * 3);
+            for (&i, x) in g.layout.send_lists[k].iter().zip(fwd.chunks_exact(3)) {
+                let own = st.atoms.x[i as usize];
+                let shifted: Vec<f64> = (0..3).map(|d| own[d] + edge.shift[d]).collect();
+                prop_assert_eq!(x, &shifted[..]);
+            }
         }
         let _ = &mut st;
     }
