@@ -8,12 +8,11 @@
 //! timestep while letting virtual time flow through the simulated fabric.
 
 use crate::sf::CommGraph;
-use serde::{Deserialize, Serialize};
 use tofumd_md::atom::Atoms;
 use tofumd_tofu::TofuError;
 
 /// A ghost-communication operation within a timestep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Establish ghost atoms (tags + positions); runs after exchange on
     /// reneighbor steps.
@@ -206,7 +205,7 @@ impl GhostLayout {
 
 /// Live communication counters (the in-vivo counterpart of Table 1's
 /// `total_msg` and `total_atom` columns).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Messages posted (payload puts; piggyback-only descriptors excluded).
     pub messages: u64,
@@ -231,7 +230,6 @@ pub struct CommStats {
     /// intermediate CPU copy before reaching the transport. The zero-copy
     /// wire path serializes straight into a registered region and counts
     /// nothing here — the acceptance signal that the copy is really gone.
-    #[serde(default)]
     pub bytes_copied: u64,
 }
 
@@ -289,7 +287,7 @@ impl CommStats {
 /// [`CommStats`] resolved along the two axes the lockstep driver iterates:
 /// operation kind and round within the operation. Engines accumulate into
 /// this; the runtime aggregates it across ranks for telemetry reports.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpStats {
     /// `rounds[op.index()][round]`, grown on first use per round.
     rounds: [Vec<CommStats>; N_OPS],

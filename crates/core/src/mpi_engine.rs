@@ -44,13 +44,120 @@ fn pack(layout: &GhostLayout, op: Op, st: &RankState, slot: usize, shift: [f64; 
     out
 }
 
-/// The LAMMPS default: 6-message staged exchange over MPI.
-pub struct MpiThreeStage {
+/// `(rank, tag)` of the two messages of a staged sweep along `dim` with
+/// the face neighbors `ranks = [-dim, +dim]`. A message is tagged with the
+/// direction it was sent in, so the receive from `ranks[dir]` expects
+/// direction `1 - dir`.
+fn sweep_peers(op: Op, dim: usize, ranks: [usize; 2], recv: bool) -> [(usize, u32); 2] {
+    [0, 1].map(|dir| {
+        (
+            ranks[dir],
+            staged_tag(op, dim, if recv { 1 - dir } else { dir }),
+        )
+    })
+}
+
+/// The MPI side both engines share: this rank's communicator handle and
+/// its per-op counters. Every message leaves through [`MpiPort::send`]
+/// and arrives through [`MpiPort::recv`]; the engines differ only in the
+/// `(rank, tag)` lists they feed them.
+struct MpiPort {
     comm: Arc<Communicator>,
     me: usize,
+    stats: OpStats,
+}
+
+impl MpiPort {
+    fn new(comm: Arc<Communicator>, me: usize) -> Self {
+        MpiPort {
+            comm,
+            me,
+            stats: OpStats::default(),
+        }
+    }
+
+    /// Send `payloads[i]` to `dests[i] = (rank, tag)`, in order: one pack
+    /// charge on the total bytes, then each message's software cost in
+    /// turn. MPI stages every message through a copy.
+    fn send(
+        &mut self,
+        st: &mut RankState,
+        op: Op,
+        round: usize,
+        dests: &[(usize, u32)],
+        payloads: &[Vec<f64>],
+    ) {
+        let p = *self.comm.net().params();
+        let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
+        let mut now = st.clock + p.pack_cost(bytes);
+        for (&(rank, tag), payload) in dests.iter().zip(payloads) {
+            self.stats.count(op, round, payload.len() * 8);
+            self.stats.copied(op, round, payload.len() * 8);
+            self.comm
+                .send(self.me, rank, tag, &wire::encode_f64s(payload), &mut now);
+        }
+        st.charge(now - st.clock, op);
+    }
+
+    /// Receive one payload from each `srcs[i] = (rank, tag)`, in order. A
+    /// shortfall (dead peer / protocol bug) surfaces as the typed error;
+    /// the clock is still charged for the messages that did arrive.
+    fn recv(
+        &self,
+        st: &mut RankState,
+        op: Op,
+        srcs: &[(usize, u32)],
+    ) -> Result<Vec<Vec<f64>>, TofuError> {
+        let mut out = Vec::with_capacity(srcs.len());
+        let mut now = st.clock;
+        for &(rank, tag) in srcs {
+            let m = match self.comm.try_recv(self.me, rank, tag, now) {
+                Ok(m) => m,
+                Err(e) => {
+                    st.charge(now - st.clock, op);
+                    return Err(e);
+                }
+            };
+            now = m.now;
+            st.arrival_horizon = st.arrival_horizon.max(m.arrival);
+            out.push(wire::decode_f64s(&m.data));
+        }
+        st.charge(now - st.clock, op);
+        Ok(out)
+    }
+
+    /// Post round `dim` of the grid migration: one face sweep per
+    /// dimension, shared by both engines.
+    fn post_migrate_sweep(&mut self, st: &mut RankState, dim: usize, ranks: [usize; 2]) {
+        let payloads = st.pack_exchange(dim);
+        let dests = sweep_peers(Op::Exchange, dim, ranks, false);
+        self.send(st, Op::Exchange, dim, &dests, &payloads);
+    }
+
+    /// Complete round `dim` of the grid migration: adopt both faces'
+    /// migrants, `-dim` side first.
+    fn complete_migrate_sweep(
+        &self,
+        st: &mut RankState,
+        dim: usize,
+        ranks: [usize; 2],
+    ) -> Result<(), TofuError> {
+        for p in self.recv(
+            st,
+            Op::Exchange,
+            &sweep_peers(Op::Exchange, dim, ranks, true),
+        )? {
+            st.unpack_exchange(&p);
+        }
+        Ok(())
+    }
+}
+
+/// The LAMMPS default: 6-message staged exchange over MPI.
+pub struct MpiThreeStage {
+    port: MpiPort,
     links: [[NeighborLink; 2]; 3],
     ghosts: StagedGhosts,
-    stats: OpStats,
 }
 
 impl MpiThreeStage {
@@ -66,73 +173,15 @@ impl MpiThreeStage {
         shells: usize,
     ) -> Self {
         MpiThreeStage {
-            comm,
-            me: rank,
+            port: MpiPort::new(comm, rank),
             links: staged_links(map, rank, global),
             ghosts: StagedGhosts::new(shells),
-            stats: OpStats::default(),
         }
     }
 
-    fn send_both(
-        &mut self,
-        st: &mut RankState,
-        op: Op,
-        round: usize,
-        dim: usize,
-        payloads: &[Vec<f64>; 2],
-    ) {
-        let p = *self.comm.net().params();
-        let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-        let mut now = st.clock;
-        now += p.pack_cost(bytes);
-        for (dir, payload) in payloads.iter().enumerate() {
-            self.stats.count(op, round, payload.len() * 8);
-            self.stats.copied(op, round, payload.len() * 8);
-            self.comm.send(
-                self.me,
-                self.links[dim][dir].rank,
-                staged_tag(op, dim, dir),
-                &wire::encode_f64s(payload),
-                &mut now,
-            );
-        }
-        let dt = now - st.clock;
-        st.charge(dt, op);
-    }
-
-    /// Receive the two sweep-`dim` messages: from `links[dim][dir]`, tagged
-    /// by the sender with direction `1 - dir`. A shortfall (dead peer /
-    /// protocol bug) surfaces as the typed error; the clock is still
-    /// charged for the messages that did arrive.
-    fn recv_both(
-        &self,
-        st: &mut RankState,
-        op: Op,
-        dim: usize,
-    ) -> Result<[Vec<f64>; 2], TofuError> {
-        let mut out = [Vec::new(), Vec::new()];
-        let mut now = st.clock;
-        for dir in 0..2 {
-            let r = self.comm.try_recv(
-                self.me,
-                self.links[dim][dir].rank,
-                staged_tag(op, dim, 1 - dir),
-                now,
-            );
-            let m = match r {
-                Ok(m) => m,
-                Err(e) => {
-                    st.charge(now - st.clock, op);
-                    return Err(e);
-                }
-            };
-            now = m.now;
-            out[dir] = wire::decode_f64s(&m.data);
-        }
-        let dt = now - st.clock;
-        st.charge(dt, op);
-        Ok(out)
+    /// The face neighbors of sweep `dim`, `[-dim, +dim]`.
+    fn face_ranks(&self, dim: usize) -> [usize; 2] {
+        [0, 1].map(|dir| self.links[dim][dir].rank)
     }
 }
 
@@ -158,58 +207,50 @@ impl GhostEngine for MpiThreeStage {
     }
 
     fn op_stats(&self) -> OpStats {
-        self.stats.clone()
+        self.port.stats.clone()
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                if round == 0 {
-                    self.ghosts.reset(st);
-                }
-                let (dim, swap) = self.ghosts.sweep(op, round);
-                let payloads = self.ghosts.pack_border(st, &self.links, dim, swap);
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
-                let (dim, swap) = self.ghosts.sweep(op, round);
-                let g = &self.ghosts;
-                let payloads = [0, 1].map(|dir| {
-                    let slot = g.slot(dim, swap, dir);
-                    pack(&g.layout, op, st, slot, self.links[dim][dir].shift)
-                });
-                self.send_both(st, op, round, dim, &payloads);
-            }
-            Op::Exchange => {
-                let payloads = st.pack_exchange(round);
-                self.send_both(st, op, round, round, &payloads);
-            }
+        if op == Op::Exchange {
+            self.port
+                .post_migrate_sweep(st, round, self.face_ranks(round));
+            return Ok(());
         }
+        if op == Op::Border && round == 0 {
+            self.ghosts.reset(st);
+        }
+        let (dim, swap) = self.ghosts.sweep(op, round);
+        let payloads = if op == Op::Border {
+            self.ghosts.pack_border(st, &self.links, dim, swap)
+        } else {
+            let g = &self.ghosts;
+            [0, 1].map(|dir| {
+                let slot = g.slot(dim, swap, dir);
+                pack(&g.layout, op, st, slot, self.links[dim][dir].shift)
+            })
+        };
+        let dests = sweep_peers(op, dim, self.face_ranks(dim), false);
+        self.port.send(st, op, round, &dests, &payloads);
         Ok(())
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                let (dim, swap) = self.ghosts.sweep(op, round);
-                let payloads = self.recv_both(st, op, dim)?;
-                self.ghosts.unpack_border(st, dim, swap, &payloads);
-                // EAM scalar buffers must track the growing ghost tail.
-                st.scalar.resize(st.atoms.ntotal(), 0.0);
-            }
-            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
-                let (dim, swap) = self.ghosts.sweep(op, round);
-                let payloads = self.recv_both(st, op, dim)?;
-                for (dir, values) in payloads.iter().enumerate() {
-                    let slot = self.ghosts.slot(dim, swap, dir);
-                    self.ghosts.layout.unpack(op, st, slot, values);
-                }
-            }
-            Op::Exchange => {
-                let payloads = self.recv_both(st, op, round)?;
-                for p in &payloads {
-                    st.unpack_exchange(p);
-                }
+        if op == Op::Exchange {
+            return self
+                .port
+                .complete_migrate_sweep(st, round, self.face_ranks(round));
+        }
+        let (dim, swap) = self.ghosts.sweep(op, round);
+        let srcs = sweep_peers(op, dim, self.face_ranks(dim), true);
+        let payloads = self.port.recv(st, op, &srcs)?;
+        if op == Op::Border {
+            self.ghosts.unpack_border(st, dim, swap, &payloads);
+            // EAM scalar buffers must track the growing ghost tail.
+            st.scalar.resize(st.atoms.ntotal(), 0.0);
+        } else {
+            for (dir, values) in payloads.iter().enumerate() {
+                let slot = self.ghosts.slot(dim, swap, dir);
+                self.ghosts.layout.unpack(op, st, slot, values);
             }
         }
         Ok(())
@@ -221,11 +262,9 @@ impl GhostEngine for MpiThreeStage {
 /// walk the edge lists either way, and migration switches from the three
 /// staged face sweeps to one owner-directed round.
 pub struct MpiP2p {
-    comm: Arc<Communicator>,
-    me: usize,
+    port: MpiPort,
     sel: Option<SendSelector>,
     ghosts: P2pGhosts,
-    stats: OpStats,
     migrate_rounds: usize,
 }
 
@@ -235,11 +274,9 @@ impl MpiP2p {
     #[must_use]
     pub fn new(comm: Arc<Communicator>, rank: usize) -> Self {
         MpiP2p {
-            comm,
-            me: rank,
+            port: MpiPort::new(comm, rank),
             sel: None,
             ghosts: P2pGhosts::default(),
-            stats: OpStats::default(),
             migrate_rounds: 3,
         }
     }
@@ -258,47 +295,9 @@ impl MpiP2p {
         sel.get_or_insert_with(|| st.graph.selector())
     }
 
-    /// Send one payload per edge `op` leaves along
-    /// ([`crate::sf::CommGraph::out_edges`]), tagged with the receiver's
-    /// edge index.
-    fn send_all(&mut self, st: &mut RankState, op: Op, round: usize, payloads: &[Vec<f64>]) {
-        let p = *self.comm.net().params();
-        let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-        let mut now = st.clock + p.pack_cost(bytes);
-        for (edge, payload) in st.graph.out_edges(op).iter().zip(payloads) {
-            self.stats.count(op, round, payload.len() * 8);
-            self.stats.copied(op, round, payload.len() * 8);
-            self.comm.send(
-                self.me,
-                edge.rank,
-                p2p_tag(op, edge.peer_index),
-                &wire::encode_f64s(payload),
-                &mut now,
-            );
-        }
-        st.charge(now - st.clock, op);
-    }
-
-    /// Receive one payload per edge `op` arrives along, in edge order.
-    fn recv_all(&self, st: &mut RankState, op: Op) -> Result<Vec<Vec<f64>>, TofuError> {
-        let n = st.graph.recv.len();
-        let mut out = Vec::with_capacity(n);
-        let mut now = st.clock;
-        for k in 0..n {
-            let rank = st.graph.in_edges(op)[k].rank;
-            let m = match self.comm.try_recv(self.me, rank, p2p_tag(op, k), now) {
-                Ok(m) => m,
-                Err(e) => {
-                    st.charge(now - st.clock, op);
-                    return Err(e);
-                }
-            };
-            now = m.now;
-            st.arrival_horizon = st.arrival_horizon.max(m.arrival);
-            out.push(wire::decode_f64s(&m.data));
-        }
-        st.charge(now - st.clock, op);
-        Ok(out)
+    /// The grid graph's face neighbors of sweep `dim`, `[-dim, +dim]`.
+    fn face_ranks(st: &RankState, dim: usize) -> [usize; 2] {
+        [0, 1].map(|dir| st.graph.face_link(dim, dir).rank)
     }
 }
 
@@ -318,7 +317,7 @@ impl GhostEngine for MpiP2p {
     }
 
     fn op_stats(&self) -> OpStats {
-        self.stats.clone()
+        self.port.stats.clone()
     }
 
     fn rebind_graph(&mut self, _st: &RankState) {
@@ -330,115 +329,77 @@ impl GhostEngine for MpiP2p {
     }
 
     fn post(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
-        match op {
-            Op::Border => {
-                let sel = Self::sel(&mut self.sel, st);
-                let payloads = self.ghosts.pack_border(st, sel);
-                self.send_all(st, op, round, &payloads);
-            }
-            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
-                let layout = &self.ghosts.layout;
-                let payloads: Vec<_> = (st.graph.out_edges(op).iter().enumerate())
-                    .map(|(k, edge)| pack(layout, op, st, k, edge.shift))
-                    .collect();
-                self.send_all(st, op, round, &payloads);
-            }
-            Op::Exchange if st.graph.is_grid() => {
-                let dim = round;
-                let payloads = st.pack_exchange(dim);
-                let p = *self.comm.net().params();
-                let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-                let mut now = st.clock + p.pack_cost(bytes);
-                for (dir, payload) in payloads.iter().enumerate() {
-                    self.stats.count(op, round, payload.len() * 8);
-                    self.stats.copied(op, round, payload.len() * 8);
-                    let link = *st.graph.face_link(dim, dir);
-                    self.comm.send(
-                        self.me,
-                        link.rank,
-                        staged_tag(op, dim, dir),
-                        &wire::encode_f64s(payload),
-                        &mut now,
-                    );
-                }
-                st.charge(now - st.clock, op);
-            }
-            Op::Exchange => {
-                // Irregular single round: every out-of-box atom goes
-                // straight to its new owner, tagged with my slot in the
-                // owner's migrate list.
-                let payloads = st.pack_exchange_graph();
-                let peers = st.graph.migrate_peers().to_vec();
-                let p = *self.comm.net().params();
-                let bytes: usize = payloads.iter().map(|v| v.len() * 8).sum();
-                let mut now = st.clock + p.pack_cost(bytes);
-                for (peer, payload) in peers.iter().zip(&payloads) {
-                    self.stats.count(op, round, payload.len() * 8);
-                    self.stats.copied(op, round, payload.len() * 8);
-                    self.comm.send(
-                        self.me,
-                        peer.rank,
-                        p2p_tag(op, peer.tag_index),
-                        &wire::encode_f64s(payload),
-                        &mut now,
-                    );
-                }
-                st.charge(now - st.clock, op);
-            }
+        if op == Op::Exchange && st.graph.is_grid() {
+            self.port
+                .post_migrate_sweep(st, round, Self::face_ranks(st, round));
+            return Ok(());
         }
+        let (dests, payloads): (Vec<_>, _) = if op == Op::Exchange {
+            // Irregular single round: every out-of-box atom goes straight
+            // to its new owner, tagged with my slot in the owner's
+            // migrate list.
+            let payloads = st.pack_exchange_graph();
+            let dests = (st.graph.migrate_peers().iter())
+                .map(|peer| (peer.rank, p2p_tag(op, peer.tag_index)))
+                .collect();
+            (dests, payloads)
+        } else {
+            // Ghost ops: one payload per edge `op` leaves along, tagged
+            // with the receiver's edge index.
+            let payloads = if op == Op::Border {
+                let sel = Self::sel(&mut self.sel, st);
+                self.ghosts.pack_border(st, sel)
+            } else {
+                let layout = &self.ghosts.layout;
+                (st.graph.out_edges(op).iter().enumerate())
+                    .map(|(k, edge)| pack(layout, op, st, k, edge.shift))
+                    .collect()
+            };
+            let dests = (st.graph.out_edges(op).iter())
+                .map(|edge| (edge.rank, p2p_tag(op, edge.peer_index)))
+                .collect();
+            (dests, payloads)
+        };
+        self.port.send(st, op, round, &dests, &payloads);
         Ok(())
     }
 
     fn complete(&mut self, op: Op, round: usize, st: &mut RankState) -> Result<(), TofuError> {
+        if op == Op::Exchange && st.graph.is_grid() {
+            return self
+                .port
+                .complete_migrate_sweep(st, round, Self::face_ranks(st, round));
+        }
+        // One payload per edge `op` arrives along (or per migrate peer),
+        // tagged with my index in that list.
+        let srcs: Vec<(usize, u32)> = if op == Op::Exchange {
+            let peers = st.graph.migrate_peers().iter();
+            peers
+                .enumerate()
+                .map(|(k, peer)| (peer.rank, p2p_tag(op, k)))
+                .collect()
+        } else {
+            let edges = st.graph.in_edges(op).iter();
+            edges
+                .enumerate()
+                .map(|(k, edge)| (edge.rank, p2p_tag(op, k)))
+                .collect()
+        };
+        let payloads = self.port.recv(st, op, &srcs)?;
         match op {
+            Op::Exchange => {
+                for p in &payloads {
+                    st.unpack_exchange(p);
+                }
+            }
             Op::Border => {
-                let payloads = self.recv_all(st, op)?;
                 self.ghosts.unpack_border(st, &payloads);
                 st.scalar.resize(st.atoms.ntotal(), 0.0);
             }
-            Op::Forward | Op::Reverse | Op::ForwardScalar | Op::ReverseScalar => {
-                let payloads = self.recv_all(st, op)?;
+            _ => {
                 for (k, values) in payloads.iter().enumerate() {
                     self.ghosts.layout.unpack(op, st, k, values);
                 }
-            }
-            Op::Exchange if st.graph.is_grid() => {
-                let dim = round;
-                let mut now = st.clock;
-                for dir in 0..2 {
-                    let link = *st.graph.face_link(dim, dir);
-                    let m = match self.comm.try_recv(
-                        self.me,
-                        link.rank,
-                        staged_tag(op, dim, 1 - dir),
-                        now,
-                    ) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            st.charge(now - st.clock, op);
-                            return Err(e);
-                        }
-                    };
-                    now = m.now;
-                    st.unpack_exchange(&wire::decode_f64s(&m.data));
-                }
-                st.charge(now - st.clock, op);
-            }
-            Op::Exchange => {
-                let peers = st.graph.migrate_peers().to_vec();
-                let mut now = st.clock;
-                for (k, peer) in peers.iter().enumerate() {
-                    let m = match self.comm.try_recv(self.me, peer.rank, p2p_tag(op, k), now) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            st.charge(now - st.clock, op);
-                            return Err(e);
-                        }
-                    };
-                    now = m.now;
-                    st.unpack_exchange(&wire::decode_f64s(&m.data));
-                }
-                st.charge(now - st.clock, op);
             }
         }
         Ok(())

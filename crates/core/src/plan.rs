@@ -2,12 +2,11 @@
 //! with what expected message sizes (the concrete counterpart of Table 1).
 
 use crate::topo_map::RankMap;
-use serde::{Deserialize, Serialize};
 use tofumd_md::domain::{neighbor_offsets, NeighborOffset};
 use tofumd_md::region::Box3;
 
 /// Which ghost pattern a plan serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Neighbor shells: 1 for the common regime, 2 for the 62/124-neighbor
     /// extended experiment (Fig. 15).
@@ -30,7 +29,7 @@ impl PlanConfig {
 }
 
 /// One directed neighbor relationship of a rank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeighborLink {
     /// Grid offset from me to the neighbor.
     pub offset: NeighborOffset,
@@ -46,7 +45,7 @@ pub struct NeighborLink {
 }
 
 /// A rank's ghost-communication plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommPlan {
     /// This rank.
     pub me: usize,

@@ -167,7 +167,7 @@ impl StagedGhosts {
         st: &mut RankState,
         dim: usize,
         swap: usize,
-        payloads: &[Vec<f64>; 2],
+        payloads: &[Vec<f64>],
     ) {
         for (dir, payload) in payloads.iter().enumerate() {
             let start = st.atoms.ntotal();

@@ -7,10 +7,9 @@
 //! write directly into the ghost tail of the remote position array.
 
 use crate::wirefmt;
-use serde::{Deserialize, Serialize};
 
 /// SoA storage for one rank's (or the serial engine's) atoms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Atoms {
     /// Positions, `nlocal` local atoms followed by ghosts.
     pub x: Vec<[f64; 3]>,

@@ -5,10 +5,8 @@
 //! conversion factors that feed thermodynamic output (temperature, pressure,
 //! energy) are needed here; the force kernels are unit-agnostic.
 
-use serde::{Deserialize, Serialize};
-
 /// Which LAMMPS-style unit system a simulation runs in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitSystem {
     /// Reduced Lennard-Jones units: sigma = epsilon = mass = k_B = 1.
     /// Time unit is "tau"; the paper reports LJ performance in tau/day.

@@ -1,8 +1,6 @@
 //! Scaling metrics and performance-unit conversions used by the paper's
 //! evaluation (Figs. 13, 14).
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per day.
 pub const SECONDS_PER_DAY: f64 = 86_400.0;
 
@@ -34,7 +32,7 @@ pub fn parallel_efficiency(
 }
 
 /// One point of a scaling study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Compute nodes used.
     pub nodes: usize,

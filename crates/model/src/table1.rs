@@ -15,10 +15,8 @@
 //! totals: 3-stage ships `8r^3 + 12ar^2 + 6a^2r` atoms in 6 messages, p2p
 //! ships `4r^3 + 6ar^2 + 3a^2r` (half) in 13.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternRow {
     /// Ghost-slab volume carried per message (multiply by density for
     /// atoms, by atom record size for bytes).
@@ -30,7 +28,7 @@ pub struct PatternRow {
 }
 
 /// Sub-box geometry for the symbolic analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometry {
     /// Cubic sub-box edge length.
     pub a: f64,

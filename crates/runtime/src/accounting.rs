@@ -61,7 +61,7 @@ pub struct StageAcc {
     pub modify: f64,
     /// Collectives + bookkeeping (Other) time.
     pub other: f64,
-    /// Comm time hidden behind interior compute by the DAG plan's overlap
+    /// Comm time hidden behind interior compute by the step DAG's overlap
     /// windows. Informational: the hidden time never entered any stage sum
     /// (it is wait the rank simply did not incur), so it is excluded from
     /// `total()`-style breakdowns.

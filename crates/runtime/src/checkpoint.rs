@@ -11,8 +11,8 @@
 //! from the dump and lands on the exact state of the uninterrupted run.
 //!
 //! The wire format is the hand-rolled [`tofumd_md::wirefmt`] codec — the
-//! workspace's vendored `serde` is a marker-trait stub with no data model,
-//! so every type here carries an explicit `encode`/`decode` pair
+//! workspace has no serialization framework (the build is offline), so
+//! every type here carries an explicit `encode`/`decode` pair
 //! (fixed-width little-endian scalars, `u64` length prefixes, `u8` option
 //! markers, `u32` enum tags) wrapped in a versioned container:
 //!

@@ -7,8 +7,8 @@
 //! workload. The per-stage accounting mirrors LAMMPS's timing breakdown
 //! (Table 3): Pair, Neigh, Comm, Modify, Other.
 //!
-//! `Cluster` is a thin façade: each timestep executes the ordered
-//! [`Phase`](crate::driver::Phase) plan of [`crate::driver`], per-rank
+//! `Cluster` is a thin façade: each timestep runs one
+//! [`StepDag`](crate::driver::StepDag) of [`crate::driver`], per-rank
 //! compute lives in [`crate::physics`], and virtual-time bookkeeping in
 //! [`crate::accounting`]. Host parallelism comes from the driver's
 //! node-aligned [`Team`] on the spin pool — bit-identical results at any
@@ -20,7 +20,7 @@
 
 use crate::accounting::{self, SyncBucket};
 use crate::config::RunConfig;
-use crate::driver::{DagPhase, Lane, Phase, PlanMode, StepDag, Team};
+use crate::driver::{DagPhase, Lane, StepDag, Team};
 use crate::physics;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
@@ -34,7 +34,7 @@ use tofumd_md::region::Box3;
 use tofumd_md::thermo::ThermoSnapshot;
 use tofumd_model::StageCosts;
 use tofumd_mpi::Communicator;
-use tofumd_tofu::{FaultCounters, FaultPlan, NetParams, TofuError, TofuNet};
+use tofumd_tofu::{FaultCounters, FaultPlan, TofuError, TofuNet};
 
 pub use crate::accounting::StageBreakdown;
 
@@ -45,6 +45,9 @@ pub use crate::accounting::StageBreakdown;
 mod build;
 #[path = "cluster_checkpoint.rs"]
 mod checkpoint_impl;
+#[cfg(test)]
+#[path = "cluster_overlap_tests.rs"]
+mod overlap_tests;
 #[path = "cluster_rebalance.rs"]
 mod rebalance;
 #[path = "cluster_report.rs"]
@@ -104,8 +107,6 @@ pub struct Cluster {
     pub(crate) rebalance_now: bool,
     /// Mid-run rebalances performed since construction.
     pub(crate) rebalance_count: u64,
-    /// How timesteps are sequenced (barrier plan or overlap DAG).
-    plan_mode: PlanMode,
     /// The proxy mesh this cluster was built on (needed to restore: the
     /// [`RankMap`] does not expose its cell grid).
     pub(crate) proxy_mesh: [u32; 3],
@@ -284,45 +285,26 @@ impl Cluster {
         self.team.threads()
     }
 
-    /// Select how timesteps are sequenced. [`PlanMode::Dag`] (the
-    /// default) overlaps halo exchange with interior compute; physics is
-    /// bit-identical to [`PlanMode::Barrier`] either way.
-    pub fn set_plan_mode(&mut self, mode: PlanMode) {
-        self.plan_mode = mode;
-    }
-
-    /// The step-sequencing mode in force.
-    #[must_use]
-    pub fn plan_mode(&self) -> PlanMode {
-        self.plan_mode
-    }
-
-    fn physics_ctx<'a>(
-        potential: &Potential,
-        variant: CommVariant,
-        cfg: &RunConfig,
-        costs: &'a StageCosts,
-        params: NetParams,
-    ) -> physics::Ctx<'a> {
+    /// The read-only context of this step's physics phases.
+    fn physics_ctx(&self) -> physics::Ctx {
+        let p2p_grid = self.variant.is_p2p() && self.cfg.comm.decomp == crate::config::Decomp::Grid;
         physics::Ctx {
-            costs,
-            params,
-            threading: variant.threading(),
-            cutoff: potential.cutoff(),
-            skin: cfg.skin(),
+            costs: self.costs,
+            params: *self.net.params(),
+            threading: self.variant.threading(),
+            cutoff: self.potential.cutoff(),
+            skin: self.cfg.skin(),
             // The one-sided rule requires the grid's half ghost shell;
             // irregular (RCB) graphs carry ghosts on every side, so they
             // keep the coordinate-ordering rule to own each cross-rank
             // pair exactly once.
-            list_kind: match potential.list_kind() {
-                tofumd_md::neighbor::ListKind::HalfNewton
-                    if variant.is_p2p() && cfg.comm.decomp == crate::config::Decomp::Grid =>
-                {
+            list_kind: match self.potential.list_kind() {
+                tofumd_md::neighbor::ListKind::HalfNewton if p2p_grid => {
                     tofumd_md::neighbor::ListKind::HalfOneSided
                 }
                 k => k,
             },
-            eam: cfg.is_eam(),
+            eam: self.cfg.is_eam(),
         }
     }
 
@@ -374,10 +356,8 @@ impl Cluster {
         }
     }
 
-    fn run_op(&mut self, op: Op) {
-        // Key every fault decision this op makes on (step, op).
-        self.net.set_fault_context(self.step, op.index() as u8);
-        let dead = self.dead_lanes();
+    /// `op`'s round count and stage-barrier rule, read from rank 0.
+    fn op_rounds(&self, op: Op) -> (usize, bool) {
         let rounds = self.lanes[0].engine.rounds(op);
         let barrier = self.lanes[0].engine.barrier_between_rounds();
         // A wrapper that fails to delegate rounds()/barrier_between_rounds()
@@ -391,58 +371,101 @@ impl Cluster {
             "engines disagree on rounds({op:?})/barrier: engine wrappers must \
              delegate rounds() and barrier_between_rounds()"
         );
+        (rounds, barrier)
+    }
+
+    /// Run every round of `op` back to back: the driver's one way to run
+    /// a comm op. The overlap DAG's window nodes call the same two halves
+    /// with interior compute between them.
+    fn run_op(&mut self, op: Op) {
+        let (rounds, _) = self.op_rounds(op);
         for round in 0..rounds {
-            self.team
-                .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                    if dead.contains(&(rank as u32)) {
-                        return;
-                    }
-                    if let Err(e) = lane.engine.post(op, round, st) {
-                        lane.failed = Some(e);
-                    }
-                });
-            self.raise_lane_failures(op, round, "post");
+            self.post_op(op, round);
+            if self.pending_peer_death.is_none() {
+                self.complete_op(op, round);
+            }
             if self.pending_peer_death.is_some() {
                 break;
-            }
-            self.team
-                .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                    if dead.contains(&(rank as u32)) {
-                        return;
-                    }
-                    if let Err(e) = lane.engine.complete(op, round, st) {
-                        lane.failed = Some(e);
-                    }
-                });
-            self.raise_lane_failures(op, round, "complete");
-            if self.pending_peer_death.is_some() {
-                break;
-            }
-            if barrier && round + 1 < rounds {
-                // Stage synchronization of the 3-stage pattern ("an MPI
-                // barrier is mandatory between stages", §3.1), realized by
-                // LAMMPS's sendrecv dependency chain: a global stall plus
-                // one notification, not a log-P collective.
-                accounting::global_sync(
-                    &mut self.states,
-                    self.lanes.iter_mut().map(|l| &mut l.acc),
-                    self.net.params().mpi_match_cost,
-                    SyncBucket::Comm(op),
-                );
-            }
-            if let Some(mut obs) = self.op_observer.take() {
-                obs(op, round, rounds, &self.states);
-                self.op_observer = Some(obs);
             }
         }
-        self.mpi.reset_mailboxes();
+    }
+
+    /// Post half of one round of `op` on every live rank. Each rank then
+    /// records its clock: the start of the window whose hidden comm time
+    /// [`Cluster::complete_op`] credits.
+    fn post_op(&mut self, op: Op, round: usize) {
+        // Key every fault decision this op makes on (step, op).
+        self.net.set_fault_context(self.step, op.index() as u8);
+        let dead = self.dead_lanes();
+        self.team
+            .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
+                if dead.contains(&(rank as u32)) {
+                    return;
+                }
+                if let Err(e) = lane.engine.post(op, round, st) {
+                    lane.failed = Some(e);
+                }
+                lane.overlap_c0 = st.clock;
+            });
+        self.raise_lane_failures(op, round, "post");
+    }
+
+    /// Complete half of one round of `op`, then the stage barrier (3-stage
+    /// engines), the op observer and, after the last round, the mailbox
+    /// reset. A peer death skips those three: the recovery that follows
+    /// drains the fabric and resets the mailboxes itself.
+    ///
+    /// The rank spent `clock − overlap_c0` on interior compute since the
+    /// post; any part of the raw arrival horizon covered by that window is
+    /// comm time a back-to-back op would have waited out, booked into
+    /// `acc.overlapped`. Back to back nothing moves the clock between the
+    /// halves, so the credit is exactly +0.0.
+    fn complete_op(&mut self, op: Op, round: usize) {
+        self.net.set_fault_context(self.step, op.index() as u8);
+        let dead = self.dead_lanes();
+        self.team
+            .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
+                if dead.contains(&(rank as u32)) {
+                    return;
+                }
+                let c1 = st.clock;
+                st.arrival_horizon = f64::NEG_INFINITY;
+                if let Err(e) = lane.engine.complete(op, round, st) {
+                    lane.failed = Some(e);
+                }
+                lane.acc.overlapped += (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
+            });
+        self.raise_lane_failures(op, round, "complete");
+        if self.pending_peer_death.is_some() {
+            return;
+        }
+        let (rounds, barrier) = self.op_rounds(op);
+        if barrier && round + 1 < rounds {
+            // Stage synchronization of the 3-stage pattern ("an MPI
+            // barrier is mandatory between stages", §3.1), realized by
+            // LAMMPS's sendrecv dependency chain: a global stall plus
+            // one notification, not a log-P collective.
+            accounting::global_sync(
+                &mut self.states,
+                self.lanes.iter_mut().map(|l| &mut l.acc),
+                self.net.params().mpi_match_cost,
+                SyncBucket::Comm(op),
+            );
+        }
+        if let Some(mut obs) = self.op_observer.take() {
+            obs(op, round, rounds, &self.states);
+            self.op_observer = Some(obs);
+        }
+        if round + 1 == rounds {
+            self.mpi.reset_mailboxes();
+        }
     }
 
     /// Can this step's halo ops overlap with interior compute? Requires a
     /// p2p variant whose Border/Forward ops are single-round without a
     /// stage barrier, and a potential that implements the split kernels.
     /// Re-evaluated every step, so a mid-run demotion (to the 3-stage
-    /// reference) degrades the DAG to its barrier-mirroring shape.
+    /// reference) degrades the DAG to its no-overlap shape.
     fn overlap_eligible(&self) -> bool {
         if !self.variant.is_p2p() {
             return false;
@@ -460,80 +483,39 @@ impl Cluster {
         }
     }
 
-    /// Post half of an overlapped single-round op: identical to the post
-    /// side of [`Cluster::run_op`], plus each rank records the clock at
-    /// which its halo went out (the start of the overlap window).
-    fn window_post(&mut self, op: Op) {
-        self.net.set_fault_context(self.step, op.index() as u8);
-        let dead = self.dead_lanes();
-        debug_assert_eq!(self.lanes[0].engine.rounds(op), 1);
-        self.team
-            .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                if dead.contains(&(rank as u32)) {
-                    return;
-                }
-                if let Err(e) = lane.engine.post(op, 0, st) {
-                    lane.failed = Some(e);
-                }
-                lane.overlap_c0 = st.clock;
-            });
-        self.raise_lane_failures(op, 0, "post");
-    }
-
-    /// Complete half of an overlapped op: identical to the complete side
-    /// of [`Cluster::run_op`] (including the observer callback and the
-    /// mailbox reset), plus the overlap credit. The rank spent
-    /// `clock − overlap_c0` on interior compute since the post; any part
-    /// of the raw arrival horizon covered by that window is comm time the
-    /// barrier plan would have waited out, booked into `acc.overlapped`.
-    fn window_complete(&mut self, op: Op) {
-        self.net.set_fault_context(self.step, op.index() as u8);
-        let dead = self.dead_lanes();
-        self.team
-            .for_each(&mut self.lanes, &mut self.states, &|rank, lane, st| {
-                if dead.contains(&(rank as u32)) {
-                    return;
-                }
-                let c1 = st.clock;
-                st.arrival_horizon = f64::NEG_INFINITY;
-                if let Err(e) = lane.engine.complete(op, 0, st) {
-                    lane.failed = Some(e);
-                }
-                let hidden = (st.arrival_horizon.min(c1) - lane.overlap_c0).max(0.0);
-                lane.acc.overlapped += hidden;
-            });
-        self.raise_lane_failures(op, 0, "complete");
-        if self.pending_peer_death.is_some() {
-            self.mpi.reset_mailboxes();
-            return;
-        }
-        if let Some(mut obs) = self.op_observer.take() {
-            obs(op, 0, 1, &self.states);
-            self.op_observer = Some(obs);
-        }
-        self.mpi.reset_mailboxes();
-    }
-
     /// Execute one node of the step DAG.
     fn run_dag_phase(&mut self, phase: DagPhase) {
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
+        let ctx = self.physics_ctx();
         let potential = self.potential.clone();
         match phase {
-            DagPhase::Rebalance => self.run_phase(Phase::Rebalance),
-            DagPhase::Exchange => self.run_phase(Phase::Exchange),
-            DagPhase::SpatialSort => self.run_phase(Phase::SpatialSort),
-            DagPhase::BorderPost => self.window_post(Op::Border),
-            DagPhase::BorderComplete => self.window_complete(Op::Border),
-            DagPhase::ForwardPost => self.window_post(Op::Forward),
-            DagPhase::ForwardComplete => self.window_complete(Op::Forward),
-            DagPhase::FwdScalarPost => self.window_post(Op::ForwardScalar),
-            DagPhase::FwdScalarComplete => self.window_complete(Op::ForwardScalar),
+            DagPhase::Rebalance => self.run_rebalance(),
+            DagPhase::Exchange => {
+                // Positions are deliberately *not* wrapped into the global
+                // box first: the face link's periodic shift re-wraps a
+                // boundary-crossing atom while sending it one hop; a global
+                // wrap would route it the long way around the torus.
+                for st in &mut self.states {
+                    st.atoms.clear_ghosts();
+                }
+                self.run_op(Op::Exchange);
+            }
+            DagPhase::SpatialSort => {
+                physics::spatial_sort(&self.team, &ctx, &mut self.lanes, &mut self.states);
+            }
+            DagPhase::BorderOp => self.run_op(Op::Border),
+            DagPhase::ForwardOp => self.run_op(Op::Forward),
+            DagPhase::RhoReduce => self.run_op(Op::ReverseScalar),
+            DagPhase::Reverse => self.run_op(Op::Reverse),
+            DagPhase::BorderPost => self.post_op(Op::Border, 0),
+            DagPhase::ForwardPost => self.post_op(Op::Forward, 0),
+            DagPhase::FwdScalarPost => self.post_op(Op::ForwardScalar, 0),
+            DagPhase::BorderComplete => self.complete_op(Op::Border, 0),
+            DagPhase::ForwardComplete => self.complete_op(Op::Forward, 0),
+            DagPhase::FwdScalarComplete => self.complete_op(Op::ForwardScalar, 0),
+            DagPhase::RebuildLists => {
+                physics::rebuild_lists(&self.team, &ctx, &mut self.lanes, &mut self.states);
+                self.rebuild_count += 1;
+            }
             DagPhase::InteriorBuild => {
                 physics::build_interior_lists(&self.team, &ctx, &mut self.lanes, &mut self.states);
                 self.raise_physics_failures("interior_build");
@@ -587,7 +569,6 @@ impl Cluster {
                 );
                 self.raise_physics_failures("boundary_rho");
             }
-            DagPhase::RhoReduce => self.run_op(Op::ReverseScalar),
             DagPhase::Embed => {
                 physics::eam_embed(&self.team, &potential, &mut self.lanes, &mut self.states);
             }
@@ -611,37 +592,80 @@ impl Cluster {
                 );
                 self.raise_physics_failures("boundary_force");
             }
-            DagPhase::Reverse => self.run_phase(Phase::Reverse),
-            DagPhase::FinalIntegrate => self.run_phase(Phase::FinalIntegrate),
-            DagPhase::Accounting => self.run_phase(Phase::Accounting),
-            DagPhase::BorderOp => self.run_phase(Phase::Border),
-            DagPhase::RebuildLists => self.run_phase(Phase::RebuildLists),
-            DagPhase::ForwardOp => self.run_phase(Phase::Forward),
-            DagPhase::PairCompute => self.compute_pair(),
+            DagPhase::PairCompute => {
+                // The unsplit pass: single pass, or the EAM pipeline with
+                // its two mid-stage scalar exchanges.
+                match &*potential {
+                    Potential::Pair(_) => {
+                        physics::pair_single(
+                            &self.team,
+                            &potential,
+                            &mut self.lanes,
+                            &mut self.states,
+                        );
+                        self.raise_physics_failures("pair");
+                    }
+                    Potential::ManyBody(_) => {
+                        physics::eam_rho(&self.team, &potential, &mut self.lanes, &mut self.states);
+                        self.raise_physics_failures("eam_rho");
+                        self.run_op(Op::ReverseScalar);
+                        if self.pending_peer_death.is_some() {
+                            return;
+                        }
+                        physics::eam_embed(
+                            &self.team,
+                            &potential,
+                            &mut self.lanes,
+                            &mut self.states,
+                        );
+                        self.run_op(Op::ForwardScalar);
+                        if self.pending_peer_death.is_some() {
+                            return;
+                        }
+                        physics::eam_force(
+                            &self.team,
+                            &potential,
+                            &mut self.lanes,
+                            &mut self.states,
+                        );
+                        self.raise_physics_failures("eam_force");
+                    }
+                }
+                physics::charge_pair(&self.team, &ctx, &mut self.lanes, &mut self.states);
+                self.raise_physics_failures("charge_pair");
+            }
+            DagPhase::FinalIntegrate => {
+                physics::integrate_final(
+                    &self.team,
+                    &ctx,
+                    &self.integrator,
+                    &mut self.lanes,
+                    &mut self.states,
+                );
+                self.raise_physics_failures("integrate_final");
+            }
+            DagPhase::Accounting => {
+                // Per-step Other floor plus the optional LAMMPS `thermo N`
+                // reduction, booked into Other like LAMMPS's output stage.
+                physics::charge_other_floor(&self.team, &ctx, &mut self.lanes, &mut self.states);
+                if self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every) {
+                    self.allreduce_other(3 * 8);
+                    let snap = self.thermo();
+                    self.thermo_log.push(snap);
+                }
+            }
         }
     }
 
-    /// DAG plan of one timestep: the integrate + reneighbor-check prefix
-    /// is shared with the barrier plan (the verdict shapes the DAG), then
-    /// the step DAG executes in its deterministic lowest-id-ready order.
-    fn run_step_dag(&mut self) {
-        self.run_phase(Phase::InitialIntegrate);
-        self.run_phase(Phase::ReneighborCheck);
-        // A rebuild step creates its own partition; a forward step can
-        // only split rows if a DAG rebuild already classified them for
-        // the current list epoch (barrier rebuilds invalidate it).
-        let partitioned = self.rebuild || self.lanes.iter().all(|l| l.part.is_some());
-        let dag = StepDag::build(
-            self.rebuild,
-            self.cfg.is_eam(),
-            self.reverse_needed,
-            self.overlap_eligible() && partitioned,
-        );
-        for phase in dag.execution_order() {
-            if self.pending_peer_death.is_some() {
-                break;
-            }
-            self.run_dag_phase(phase);
+    /// Establish ghosts, lists and forces from the current local atoms:
+    /// the no-overlap Border → list build → forces → Reverse chain that
+    /// setup, checkpoint restore and rank-death recovery share.
+    fn rebuild_ghosts_and_forces(&mut self) {
+        self.run_dag_phase(DagPhase::BorderOp);
+        self.run_dag_phase(DagPhase::RebuildLists);
+        self.run_dag_phase(DagPhase::PairCompute);
+        if self.reverse_needed {
+            self.run_dag_phase(DagPhase::Reverse);
         }
     }
 
@@ -691,18 +715,7 @@ impl Cluster {
             self.rebalance_now = true;
             self.rebuild = true;
         }
-        let cost = accounting::allreduce_cost_target(
-            self.net.params(),
-            self.target_mesh,
-            self.target_ranks,
-            1,
-        );
-        accounting::global_sync(
-            &mut self.states,
-            self.lanes.iter_mut().map(|l| &mut l.acc),
-            cost,
-            SyncBucket::Other,
-        );
+        self.allreduce_other(1);
     }
 
     fn reneighbor_verdict(&mut self) {
@@ -730,11 +743,17 @@ impl Cluster {
         );
         self.raise_physics_failures("check_displacements");
         self.rebuild = self.lanes.iter().any(|l| l.moved);
+        self.allreduce_other(1);
+    }
+
+    /// A target-scale allreduce of `bytes` bytes booked into Other: every
+    /// clock stalls to the latest plus the collective's modeled cost.
+    fn allreduce_other(&mut self, bytes: usize) {
         let cost = accounting::allreduce_cost_target(
             self.net.params(),
             self.target_mesh,
             self.target_ranks,
-            1,
+            bytes,
         );
         accounting::global_sync(
             &mut self.states,
@@ -744,159 +763,44 @@ impl Cluster {
         );
     }
 
-    /// Pair phase: single pass, or the EAM pipeline with its two
-    /// mid-stage scalar exchanges.
-    fn compute_pair(&mut self) {
-        let potential = self.potential.clone();
-        match &*potential {
-            Potential::Pair(_) => {
-                physics::pair_single(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("pair");
-            }
-            Potential::ManyBody(_) => {
-                physics::eam_rho(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("eam_rho");
-                self.run_op(Op::ReverseScalar);
-                if self.pending_peer_death.is_some() {
-                    return;
-                }
-                physics::eam_embed(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.run_op(Op::ForwardScalar);
-                if self.pending_peer_death.is_some() {
-                    return;
-                }
-                physics::eam_force(&self.team, &potential, &mut self.lanes, &mut self.states);
-                self.raise_physics_failures("eam_force");
-            }
-        }
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
-        physics::charge_pair(&self.team, &ctx, &mut self.lanes, &mut self.states);
-        self.raise_physics_failures("charge_pair");
-    }
-
-    /// Per-step Other floor plus the optional LAMMPS `thermo N`
-    /// reduction, booked into Other like LAMMPS's output stage.
-    fn accounting_phase(&mut self) {
-        let ctx = Self::physics_ctx(
-            &self.potential,
-            self.variant,
-            &self.cfg,
-            &self.costs,
-            *self.net.params(),
-        );
-        physics::charge_other_floor(&self.team, &ctx, &mut self.lanes, &mut self.states);
-        if self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every) {
-            let cost = accounting::allreduce_cost_target(
-                self.net.params(),
-                self.target_mesh,
-                self.target_ranks,
-                3 * 8,
-            );
-            accounting::global_sync(
-                &mut self.states,
-                self.lanes.iter_mut().map(|l| &mut l.acc),
-                cost,
-                SyncBucket::Other,
-            );
-            let snap = self.thermo();
-            self.thermo_log.push(snap);
-        }
-    }
-
-    /// Execute one phase of the step plan.
-    fn run_phase(&mut self, phase: Phase) {
-        match phase {
-            Phase::InitialIntegrate => physics::integrate_initial(
-                &self.team,
-                &self.integrator,
-                &mut self.lanes,
-                &mut self.states,
-            ),
-            Phase::ReneighborCheck => self.reneighbor_check(),
-            Phase::Rebalance => self.run_rebalance(),
-            Phase::Exchange => {
-                // Positions are deliberately *not* wrapped into the global
-                // box first: the face link's periodic shift re-wraps a
-                // boundary-crossing atom while sending it one hop; a global
-                // wrap would route it the long way around the torus.
-                for st in &mut self.states {
-                    st.atoms.clear_ghosts();
-                }
-                self.run_op(Op::Exchange);
-            }
-            Phase::SpatialSort => {
-                let ctx = Self::physics_ctx(
-                    &self.potential,
-                    self.variant,
-                    &self.cfg,
-                    &self.costs,
-                    *self.net.params(),
-                );
-                physics::spatial_sort(&self.team, &ctx, &mut self.lanes, &mut self.states);
-            }
-            Phase::Border => self.run_op(Op::Border),
-            Phase::RebuildLists => {
-                let ctx = Self::physics_ctx(
-                    &self.potential,
-                    self.variant,
-                    &self.cfg,
-                    &self.costs,
-                    *self.net.params(),
-                );
-                physics::rebuild_lists(&self.team, &ctx, &mut self.lanes, &mut self.states);
-                self.rebuild_count += 1;
-            }
-            Phase::Forward => self.run_op(Op::Forward),
-            Phase::Pair => self.compute_pair(),
-            Phase::Reverse => self.run_op(Op::Reverse),
-            Phase::FinalIntegrate => {
-                let ctx = Self::physics_ctx(
-                    &self.potential,
-                    self.variant,
-                    &self.cfg,
-                    &self.costs,
-                    *self.net.params(),
-                );
-                physics::integrate_final(
-                    &self.team,
-                    &ctx,
-                    &self.integrator,
-                    &mut self.lanes,
-                    &mut self.states,
-                );
-                self.raise_physics_failures("integrate_final");
-            }
-            Phase::Accounting => self.accounting_phase(),
-        }
-    }
-
-    /// Advance one timestep under the selected [`PlanMode`]: the barrier
-    /// plan walks the static phase list; the DAG plan executes the
-    /// per-rank dependency DAG with halo/compute overlap. Physics is
-    /// bit-identical between the two. If any engine exhausted its put
-    /// retry budget during the step, the whole cluster demotes to the MPI
-    /// 3-stage reference before the next step.
+    /// Advance one timestep: the first integrate half and the reneighbor
+    /// verdict, then the step DAG that verdict shapes. If any engine
+    /// exhausted its put retry budget during the step, the whole cluster
+    /// demotes to the MPI 3-stage reference before the next step.
     pub fn run_step(&mut self) {
+        self.advance(true);
+    }
+
+    /// The one step function. `overlap` permits the overlapping DAG shape
+    /// where the variant and potential support it; `false` runs every
+    /// step in the no-overlap shape, the reference the overlap ≡
+    /// no-overlap equivalence tests compare against.
+    fn advance(&mut self, overlap: bool) {
         self.step += 1;
         self.at_rebuild_boundary = false;
-        match self.plan_mode {
-            PlanMode::Barrier => {
-                for planned in Phase::step_plan(self.reverse_needed) {
-                    if self.pending_peer_death.is_some() {
-                        break;
-                    }
-                    if planned.cond.applies(self.rebuild) {
-                        self.run_phase(planned.phase);
-                    }
-                }
+        physics::integrate_initial(
+            &self.team,
+            &self.integrator,
+            &mut self.lanes,
+            &mut self.states,
+        );
+        self.reneighbor_check();
+        // A rebuild step creates its own partition; a forward step can
+        // only split rows if an overlapped rebuild already classified them
+        // for the current list epoch (a full list rebuild, a restore and a
+        // recovery all invalidate it).
+        let partitioned = self.rebuild || self.lanes.iter().all(|l| l.part.is_some());
+        let dag = StepDag::build(
+            self.rebuild,
+            self.cfg.is_eam(),
+            self.reverse_needed,
+            overlap && self.overlap_eligible() && partitioned,
+        );
+        for phase in dag.execution_order() {
+            if self.pending_peer_death.is_some() {
+                break;
             }
-            PlanMode::Dag => self.run_step_dag(),
+            self.run_dag_phase(phase);
         }
         // A peer died mid-step: abandon the partial step and roll every
         // survivor back to the last checkpoint on a shrunken star forest.

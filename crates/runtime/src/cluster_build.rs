@@ -6,10 +6,10 @@
 
 use super::Cluster;
 use crate::config::{Decomp, RunConfig};
-use crate::driver::{Lane, Phase, PlanMode, Team};
+use crate::driver::{DagPhase, Lane, Team};
 use crate::variant::CommVariant;
 use std::sync::Arc;
-use tofumd_core::engine::{GhostEngine, Op, RankState};
+use tofumd_core::engine::{GhostEngine, RankState};
 use tofumd_core::mpi_engine::{MpiP2p, MpiThreeStage};
 use tofumd_core::plan::{CommPlan, PlanConfig};
 use tofumd_core::topo_map::{Placement, RankMap};
@@ -270,7 +270,6 @@ impl Cluster {
             force_rebuild: false,
             rebalance_now: false,
             rebalance_count: 0,
-            plan_mode: PlanMode::default(),
             proxy_mesh,
             checkpoint_every: 0,
             next_checkpoint: 0,
@@ -285,13 +284,8 @@ impl Cluster {
         };
         // Setup stage: sort locals into bin order (no ghosts exist yet),
         // then establish ghosts, lists, initial forces.
-        cluster.run_phase(Phase::SpatialSort);
-        cluster.run_op(Op::Border);
-        cluster.run_phase(Phase::RebuildLists);
-        cluster.compute_pair();
-        if cluster.reverse_needed {
-            cluster.run_op(Op::Reverse);
-        }
+        cluster.run_dag_phase(DagPhase::SpatialSort);
+        cluster.rebuild_ghosts_and_forces();
         cluster.reset_timers();
         cluster
     }

@@ -25,12 +25,11 @@
 use super::Cluster;
 use crate::checkpoint::{CheckpointData, CheckpointError, RankDump};
 use crate::config::Decomp;
-use crate::driver::Phase;
 use crate::trace::RecoveryStats;
 use crate::variant::CommVariant;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use tofumd_core::engine::{wrap_for_exchange, Op};
+use tofumd_core::engine::wrap_for_exchange;
 use tofumd_core::mpi_engine::MpiP2p;
 use tofumd_core::topo_map::Placement;
 use tofumd_core::CommGraph;
@@ -263,12 +262,7 @@ impl Cluster {
         // reneighbor boundary these are pure functions of the dump, so
         // the state after this replay is the uninterrupted run's, bit for
         // bit.
-        c.run_op(Op::Border);
-        c.run_phase(Phase::RebuildLists);
-        c.compute_pair();
-        if c.reverse_needed {
-            c.run_op(Op::Reverse);
-        }
+        c.rebuild_ghosts_and_forces();
         // Counters and clocks last: the replay above charged virtual time
         // that the original run charged at its own rebuild step.
         for (rank, dump) in data.ranks.iter().enumerate() {
@@ -414,12 +408,7 @@ impl Cluster {
         self.rebalance_now = false;
         self.force_rebuild = false;
         self.pending_peer_death = None;
-        self.run_op(Op::Border);
-        self.run_phase(Phase::RebuildLists);
-        self.compute_pair();
-        if self.reverse_needed {
-            self.run_op(Op::Reverse);
-        }
+        self.rebuild_ghosts_and_forces();
         self.rebuild_count = data.rebuild_count;
         self.at_rebuild_boundary = true;
         let t_after = self

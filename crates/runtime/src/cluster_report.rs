@@ -98,7 +98,7 @@ impl Cluster {
     }
 
     /// Total comm time hidden behind interior compute across all ranks
-    /// since the last `reset_timers` — the DAG plan's overlap win. Not
+    /// since the last `reset_timers` — the step DAG's overlap win. Not
     /// part of any stage sum: it is wait the ranks never incurred.
     #[must_use]
     pub fn overlapped_total(&self) -> f64 {

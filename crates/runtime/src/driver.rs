@@ -1,10 +1,11 @@
-//! The deterministic host-parallel phase executor.
+//! The deterministic host-parallel step executor.
 //!
-//! A timestep is an ordered list of [`Phase`]s — per-rank work items
-//! (integrate, reneighbor-check, ghost ops, pair passes, accounting)
-//! executed over all simulated ranks by a persistent [`Team`] of host
-//! threads built on `tofumd-threadpool`'s spin pool (the paper's §3.3
-//! design, dogfooded as our own step driver).
+//! After the integrate and reneighbor-check prefix, a timestep is one
+//! [`StepDag`] of [`DagPhase`] nodes — per-rank work items (ghost-op
+//! halves, list builds, pair passes, integration, accounting) executed
+//! over all simulated ranks by a persistent [`Team`] of host threads
+//! built on `tofumd-threadpool`'s spin pool (the paper's §3.3 design,
+//! dogfooded as our own step driver).
 //!
 //! # Determinism contract (DESIGN.md §9)
 //!
@@ -99,8 +100,8 @@ pub struct Lane {
     /// Interior-only list built pre-ghost on rebuild steps, consumed by
     /// the boundary build after the Border op lands.
     pub interior_list: Option<NeighborList>,
-    /// The rank's clock right after the last overlapped post — the start
-    /// of the window whose hidden comm time the complete side credits.
+    /// The rank's clock right after its last post — the start of the
+    /// window whose hidden comm time the complete half credits.
     pub overlap_c0: f64,
 }
 
@@ -126,158 +127,11 @@ impl Lane {
     }
 }
 
-/// One work item of a timestep, in execution order. The comm phases run
-/// the engine's post/complete rounds; the compute phases fan per-rank
-/// closures out over the [`Team`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// First velocity-Verlet half-kick + drift.
-    InitialIntegrate,
-    /// Decide whether this step reneighbors (policy + displacement
-    /// allreduce).
-    ReneighborCheck,
-    /// Mid-run domain rebalance (reneighbor steps only; a no-op unless
-    /// the check phase armed it): rebuild the RCB decomposition from the
-    /// current positions, swap every rank's graph and migrate atoms to
-    /// their new owners. A global barrier point — every rank swaps before
-    /// any rank exchanges.
-    Rebalance,
-    /// Staged atom migration (reneighbor steps only).
-    Exchange,
-    /// Spatial sort of local atoms into bin order (reneighbor steps only,
-    /// after Exchange while no ghosts exist and before Border rebuilds the
-    /// send lists against the new order).
-    SpatialSort,
-    /// Ghost-region rebuild (reneighbor steps only).
-    Border,
-    /// Verlet-list rebuild (reneighbor steps only).
-    RebuildLists,
-    /// Ghost position update (non-reneighbor steps).
-    Forward,
-    /// Pair force evaluation (single pass, or the EAM rho/embed/force
-    /// pipeline with its mid-stage scalar exchanges).
-    Pair,
-    /// Ghost force fold-back (Newton-half runs).
-    Reverse,
-    /// Second velocity-Verlet half-kick + Modify charge.
-    FinalIntegrate,
-    /// Per-step Other floor + the optional thermo reduction.
-    Accounting,
-}
-
-/// When a planned phase actually runs, given the step's reneighbor
-/// verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cond {
-    /// Every step.
-    Always,
-    /// Only on reneighbor steps.
-    IfRebuild,
-    /// Only on non-reneighbor steps.
-    IfNoRebuild,
-}
-
-/// A phase plus its execution condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedPhase {
-    /// The work item.
-    pub phase: Phase,
-    /// When it runs.
-    pub cond: Cond,
-}
-
-impl Phase {
-    /// The ordered phase list of one timestep. The reneighbor decision is
-    /// made *during* the `ReneighborCheck` phase, so the branch between
-    /// the exchange path and the forward path is expressed as conditions
-    /// evaluated by the executor, keeping the plan itself static.
-    #[must_use]
-    pub fn step_plan(reverse_needed: bool) -> Vec<PlannedPhase> {
-        let mut plan = vec![
-            PlannedPhase {
-                phase: Phase::InitialIntegrate,
-                cond: Cond::Always,
-            },
-            PlannedPhase {
-                phase: Phase::ReneighborCheck,
-                cond: Cond::Always,
-            },
-            PlannedPhase {
-                phase: Phase::Rebalance,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Exchange,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::SpatialSort,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Border,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::RebuildLists,
-                cond: Cond::IfRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Forward,
-                cond: Cond::IfNoRebuild,
-            },
-            PlannedPhase {
-                phase: Phase::Pair,
-                cond: Cond::Always,
-            },
-        ];
-        if reverse_needed {
-            plan.push(PlannedPhase {
-                phase: Phase::Reverse,
-                cond: Cond::Always,
-            });
-        }
-        plan.push(PlannedPhase {
-            phase: Phase::FinalIntegrate,
-            cond: Cond::Always,
-        });
-        plan.push(PlannedPhase {
-            phase: Phase::Accounting,
-            cond: Cond::Always,
-        });
-        plan
-    }
-}
-
-impl Cond {
-    /// Does the phase run on a step with this reneighbor verdict?
-    #[must_use]
-    pub fn applies(self, rebuild: bool) -> bool {
-        match self {
-            Cond::Always => true,
-            Cond::IfRebuild => rebuild,
-            Cond::IfNoRebuild => !rebuild,
-        }
-    }
-}
-
-/// How the cluster sequences a timestep's work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// The static barrier plan: every comm op posts and completes
-    /// back-to-back, compute strictly between ops.
-    Barrier,
-    /// The per-rank dependency DAG: halo posts overlap with interior
-    /// compute, completes are reordered behind it (the default).
-    #[default]
-    Dag,
-}
-
-/// One node of the per-rank step DAG. The overlap nodes split each halo
-/// op into a post half and a complete half with interior compute between
-/// them; the `*Op` nodes are degenerate single-node stand-ins that run
-/// the corresponding barrier phase unchanged (used when the variant or
-/// potential cannot overlap).
+/// One node of the per-rank step DAG — the only phase enum of a step.
+/// The overlap nodes split each halo op into a post half and a complete
+/// half with interior compute between them; the `*Op` nodes and the
+/// whole-pass nodes run an op or pass in one piece (the no-overlap shape,
+/// used when the variant or potential cannot overlap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagPhase {
     /// Mid-run domain rebalance (no-op unless armed); the Exchange node
@@ -331,11 +185,11 @@ pub enum DagPhase {
     Accounting,
     /// Degenerate node: the whole Border op, post+complete back-to-back.
     BorderOp,
-    /// Degenerate node: the barrier-plan full list rebuild.
+    /// Degenerate node: the full (unsplit) list rebuild.
     RebuildLists,
     /// Degenerate node: the whole Forward op.
     ForwardOp,
-    /// Degenerate node: the barrier-plan pair phase (including the EAM
+    /// Degenerate node: the unsplit pair pass (including the EAM
     /// pipeline and the Pair charge).
     PairCompute,
 }
@@ -363,82 +217,81 @@ pub struct StepDag {
 
 impl StepDag {
     /// Build the step DAG. `overlap` selects the split (overlapping)
-    /// shape; without it every node is a degenerate stand-in for the
-    /// matching barrier phase, in the barrier plan's exact order.
+    /// shape; without it the DAG is a chain that posts and completes
+    /// every comm op back to back, compute strictly between ops.
     #[must_use]
     pub fn build(rebuild: bool, eam: bool, reverse_needed: bool, overlap: bool) -> Self {
-        let mut nodes: Vec<DagNode> = Vec::new();
-        let mut push = |nodes: &mut Vec<DagNode>, phase: DagPhase, deps: Vec<usize>| -> usize {
-            nodes.push(DagNode { phase, deps });
-            nodes.len() - 1
+        let mut dag = StepDag { nodes: Vec::new() };
+        // Rebuild steps migrate first: Exchange waits on the Rebalance
+        // barrier point, and the sort runs while no ghost exists.
+        let sorted = if rebuild {
+            let rb = dag.push(DagPhase::Rebalance, vec![]);
+            let ex = dag.push(DagPhase::Exchange, vec![rb]);
+            vec![dag.push(DagPhase::SpatialSort, vec![ex])]
+        } else {
+            vec![]
         };
         let pair_done = if !overlap {
             let prev = if rebuild {
-                let rb = push(&mut nodes, DagPhase::Rebalance, vec![]);
-                let ex = push(&mut nodes, DagPhase::Exchange, vec![rb]);
-                let sort = push(&mut nodes, DagPhase::SpatialSort, vec![ex]);
-                let border = push(&mut nodes, DagPhase::BorderOp, vec![sort]);
-                push(&mut nodes, DagPhase::RebuildLists, vec![border])
+                let border = dag.push(DagPhase::BorderOp, sorted);
+                dag.push(DagPhase::RebuildLists, vec![border])
             } else {
-                push(&mut nodes, DagPhase::ForwardOp, vec![])
+                dag.push(DagPhase::ForwardOp, sorted)
             };
-            push(&mut nodes, DagPhase::PairCompute, vec![prev])
-        } else if rebuild {
-            let rb = push(&mut nodes, DagPhase::Rebalance, vec![]);
-            let ex = push(&mut nodes, DagPhase::Exchange, vec![rb]);
-            let sort = push(&mut nodes, DagPhase::SpatialSort, vec![ex]);
-            let bpost = push(&mut nodes, DagPhase::BorderPost, vec![sort]);
-            let ibuild = push(&mut nodes, DagPhase::InteriorBuild, vec![sort]);
-            let ilog = if eam {
-                push(&mut nodes, DagPhase::InteriorRho, vec![ibuild])
-            } else {
-                push(&mut nodes, DagPhase::InteriorPair, vec![ibuild])
-            };
-            let bdone = push(&mut nodes, DagPhase::BorderComplete, vec![bpost]);
-            let bbuild = push(&mut nodes, DagPhase::BoundaryBuild, vec![ibuild, bdone]);
-            if eam {
-                let brho = push(&mut nodes, DagPhase::BoundaryRho, vec![ilog, bbuild]);
-                Self::push_eam_tail(&mut nodes, &mut push, brho)
-            } else {
-                push(&mut nodes, DagPhase::BoundaryPair, vec![ilog, bbuild])
-            }
+            dag.push(DagPhase::PairCompute, vec![prev])
         } else {
-            let fpost = push(&mut nodes, DagPhase::ForwardPost, vec![]);
-            let ilog = if eam {
-                push(&mut nodes, DagPhase::InteriorRho, vec![])
+            // The halo op whose window hides the interior rows: Border on
+            // rebuild steps (which also build the interior rows' list in
+            // the window), Forward otherwise.
+            let (post, complete) = if rebuild {
+                (DagPhase::BorderPost, DagPhase::BorderComplete)
             } else {
-                push(&mut nodes, DagPhase::InteriorPair, vec![])
+                (DagPhase::ForwardPost, DagPhase::ForwardComplete)
             };
-            let fdone = push(&mut nodes, DagPhase::ForwardComplete, vec![fpost]);
-            if eam {
-                let brho = push(&mut nodes, DagPhase::BoundaryRho, vec![ilog, fdone]);
-                Self::push_eam_tail(&mut nodes, &mut push, brho)
+            let post = dag.push(post, sorted.clone());
+            let ibuild = rebuild.then(|| dag.push(DagPhase::InteriorBuild, sorted));
+            let interior = if eam {
+                DagPhase::InteriorRho
             } else {
-                push(&mut nodes, DagPhase::BoundaryPair, vec![ilog, fdone])
+                DagPhase::InteriorPair
+            };
+            let ilog = dag.push(interior, ibuild.into_iter().collect());
+            let done = dag.push(complete, vec![post]);
+            let ready = match ibuild {
+                Some(ib) => dag.push(DagPhase::BoundaryBuild, vec![ib, done]),
+                None => done,
+            };
+            if eam {
+                let brho = dag.push(DagPhase::BoundaryRho, vec![ilog, ready]);
+                dag.push_eam_tail(brho)
+            } else {
+                dag.push(DagPhase::BoundaryPair, vec![ilog, ready])
             }
         };
         let mut prev = pair_done;
         if reverse_needed {
-            prev = push(&mut nodes, DagPhase::Reverse, vec![prev]);
+            prev = dag.push(DagPhase::Reverse, vec![prev]);
         }
-        let fin = push(&mut nodes, DagPhase::FinalIntegrate, vec![prev]);
-        push(&mut nodes, DagPhase::Accounting, vec![fin]);
-        StepDag { nodes }
+        let fin = dag.push(DagPhase::FinalIntegrate, vec![prev]);
+        dag.push(DagPhase::Accounting, vec![fin]);
+        dag
+    }
+
+    /// Append a node; its id is the next free one.
+    fn push(&mut self, phase: DagPhase, deps: Vec<usize>) -> usize {
+        self.nodes.push(DagNode { phase, deps });
+        self.nodes.len() - 1
     }
 
     /// The shared EAM tail after the density replay: fold ghost rho back,
     /// embed, then overlap the F' forward with the interior force rows.
-    fn push_eam_tail(
-        nodes: &mut Vec<DagNode>,
-        push: &mut impl FnMut(&mut Vec<DagNode>, DagPhase, Vec<usize>) -> usize,
-        rho_done: usize,
-    ) -> usize {
-        let reduce = push(nodes, DagPhase::RhoReduce, vec![rho_done]);
-        let embed = push(nodes, DagPhase::Embed, vec![reduce]);
-        let fpost = push(nodes, DagPhase::FwdScalarPost, vec![embed]);
-        let iforce = push(nodes, DagPhase::InteriorForce, vec![embed]);
-        let fdone = push(nodes, DagPhase::FwdScalarComplete, vec![fpost]);
-        push(nodes, DagPhase::BoundaryForce, vec![iforce, fdone])
+    fn push_eam_tail(&mut self, rho_done: usize) -> usize {
+        let reduce = self.push(DagPhase::RhoReduce, vec![rho_done]);
+        let embed = self.push(DagPhase::Embed, vec![reduce]);
+        let fpost = self.push(DagPhase::FwdScalarPost, vec![embed]);
+        let iforce = self.push(DagPhase::InteriorForce, vec![embed]);
+        let fdone = self.push(DagPhase::FwdScalarComplete, vec![fpost]);
+        self.push(DagPhase::BoundaryForce, vec![iforce, fdone])
     }
 
     /// Execute order: repeatedly dispatch the lowest-id node whose deps
@@ -675,39 +528,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn step_plan_orders_phases() {
-        let plan = Phase::step_plan(true);
-        let phases: Vec<Phase> = plan.iter().map(|p| p.phase).collect();
-        assert_eq!(phases[0], Phase::InitialIntegrate);
-        assert_eq!(phases[1], Phase::ReneighborCheck);
-        assert!(phases.contains(&Phase::Reverse));
-        assert_eq!(*phases.last().unwrap(), Phase::Accounting);
-        let no_rev = Phase::step_plan(false);
-        assert!(no_rev.iter().all(|p| p.phase != Phase::Reverse));
-        // The rebuild and forward paths are mutually exclusive.
-        // The rebalance barrier point sits between the verdict and the
-        // migration it may redirect.
-        let reb = phases.iter().position(|&p| p == Phase::Rebalance).unwrap();
-        let ex = phases.iter().position(|&p| p == Phase::Exchange).unwrap();
-        assert!(reb < ex && reb > 1);
-        for p in &plan {
-            match p.phase {
-                Phase::Rebalance
-                | Phase::Exchange
-                | Phase::SpatialSort
-                | Phase::Border
-                | Phase::RebuildLists => {
-                    assert_eq!(p.cond, Cond::IfRebuild);
-                }
-                Phase::Forward => assert_eq!(p.cond, Cond::IfNoRebuild),
-                _ => assert_eq!(p.cond, Cond::Always),
-            }
-        }
-        assert!(Cond::IfRebuild.applies(true) && !Cond::IfRebuild.applies(false));
-        assert!(!Cond::IfNoRebuild.applies(true) && Cond::IfNoRebuild.applies(false));
-    }
-
     fn pos(order: &[DagPhase], p: DagPhase) -> usize {
         order
             .iter()
@@ -759,6 +579,18 @@ mod tests {
                 DagPhase::Accounting,
             ]
         );
+        // In every shape the migration path exists only on rebuild steps
+        // and Reverse only when Newton is on.
+        for (eam, overlap) in [(false, false), (false, true), (true, false), (true, true)] {
+            let order = StepDag::build(false, eam, false, overlap).execution_order();
+            assert!(order.iter().all(|p| !matches!(
+                p,
+                DagPhase::Rebalance
+                    | DagPhase::Exchange
+                    | DagPhase::SpatialSort
+                    | DagPhase::Reverse
+            )));
+        }
     }
 
     #[test]

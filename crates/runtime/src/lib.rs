@@ -9,8 +9,8 @@
 //!   breakdown (Pair / Neigh / Comm / Modify / Other) in virtual time;
 //!   supports proxy-torus runs that carry a larger machine's per-rank
 //!   workload for the scaling studies,
-//! * [`driver`] — the deterministic host-parallel phase executor: a
-//!   static per-step [`driver::Phase`] plan fanned out over a persistent
+//! * [`driver`] — the deterministic host-parallel step executor: one
+//!   per-step [`driver::StepDag`] fanned out over a persistent
 //!   node-aligned [`driver::Team`] on the spin pool (bit-identical at any
 //!   thread count; DESIGN.md §9),
 //! * [`physics`] — the per-rank compute kernels (neighbor rebuild, pair
@@ -57,7 +57,7 @@ pub use accounting::{StageAcc, SyncBucket};
 pub use checkpoint::{CheckpointData, CheckpointError, RankDump};
 pub use cluster::{Cluster, StageBreakdown};
 pub use config::{PotentialKind, RunConfig};
-pub use driver::{DagPhase, Lane, Partition, Phase, PlanMode, StepDag, Team};
+pub use driver::{DagPhase, Lane, Partition, StepDag, Team};
 pub use lockstep::{
     bisect_against_serial, bisect_cluster_against_serial, bisect_clusters, bisect_variants,
     AtomDelta, Divergence, DivergenceReport, FaultInjector, LockstepOptions,

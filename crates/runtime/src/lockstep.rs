@@ -23,7 +23,6 @@
 use crate::cluster::Cluster;
 use crate::config::RunConfig;
 use crate::variant::CommVariant;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use tofumd_core::engine::{GhostEngine, Op, OpStats, RankState};
@@ -33,7 +32,7 @@ use tofumd_md::serial::SerialSim;
 use tofumd_tofu::TofuError;
 
 /// Knobs for a bisect run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockstepOptions {
     /// Steps to drive both runs (stops early at the first divergence).
     pub steps: u64,
@@ -61,7 +60,7 @@ impl Default for LockstepOptions {
 }
 
 /// One offending atom: its coordinates on both sides.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtomDelta {
     /// Global atom tag.
     pub tag: u64,
@@ -74,7 +73,7 @@ pub struct AtomDelta {
 }
 
 /// The first point where the two runs disagree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Divergence {
     /// Timestep (1-based) of the divergence.
     pub step: u64,
@@ -101,7 +100,7 @@ pub struct Divergence {
 }
 
 /// One op's aggregate counters for the report footer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpStatsRow {
     /// Op label.
     pub op: String,
@@ -116,7 +115,7 @@ pub struct OpStatsRow {
 }
 
 /// Outcome of a bisect run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DivergenceReport {
     /// Label of side A.
     pub a: String,

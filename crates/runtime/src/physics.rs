@@ -36,9 +36,9 @@ fn fail_missing(lane: &mut Lane, rank: usize, phase: &'static str, missing: &'st
 /// Shared read-only context for the physics phases: the potential's
 /// cutoff, the cost model and the threading mode the *virtual* machine
 /// charges for (orthogonal to the host team's thread count).
-pub struct Ctx<'a> {
+pub struct Ctx {
     /// Stage cost model.
-    pub costs: &'a StageCosts,
+    pub costs: StageCosts,
     /// Fabric timing constants.
     pub params: NetParams,
     /// The virtual compute-threading mode of the variant under test.

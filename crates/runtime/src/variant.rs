@@ -2,11 +2,10 @@
 //! paper's artifact (ref / utofu_3stage / 4tni_p2p / 6tni_p2p / opt), plus
 //! the MPI-p2p strawman of Fig. 6.
 
-use serde::{Deserialize, Serialize};
 use tofumd_model::Threading;
 
 /// One of the paper's communication designs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommVariant {
     /// `ref`: original LAMMPS — MPI 3-stage, OpenMP compute.
     Ref,

@@ -1,11 +1,11 @@
 //! Checkpoint/restart correctness: a run restored from a checkpoint must
 //! be *bit-identical* to the run that never stopped — verified by the
-//! lockstep bisector at tolerance 0.0 across thread counts, plan modes
-//! and engine variants — and damaged restart files must be rejected with
+//! lockstep bisector at tolerance 0.0 across thread counts, engine
+//! variants and both step-DAG shapes — and damaged restart files must be rejected with
 //! typed errors, never panics. See DESIGN.md §15.
 
 use tofumd_runtime::checkpoint::{CheckpointData, CheckpointError};
-use tofumd_runtime::{bisect_clusters, Cluster, CommVariant, LockstepOptions, PlanMode, RunConfig};
+use tofumd_runtime::{bisect_clusters, Cluster, CommVariant, LockstepOptions, RunConfig};
 
 const MESH: [u32; 3] = [2, 3, 2];
 
@@ -23,14 +23,8 @@ fn rcb_cfg(natoms: usize) -> RunConfig {
 /// Run a cluster with auto-checkpoints, restore from the sealed bytes,
 /// and drive the restored cluster against an uninterrupted twin in
 /// lockstep at tolerance 0.0.
-fn assert_restore_bit_identical(
-    cfg: RunConfig,
-    variant: CommVariant,
-    mode: PlanMode,
-    threads: usize,
-) {
+fn assert_restore_bit_identical(cfg: RunConfig, variant: CommVariant, threads: usize) {
     let mut a = Cluster::new(MESH, cfg, variant);
-    a.set_plan_mode(mode);
     a.set_driver_threads(threads);
     a.set_checkpoint_every(8);
     a.run(20);
@@ -40,7 +34,6 @@ fn assert_restore_bit_identical(
         .to_vec();
 
     let mut restored = Cluster::restore_from_bytes(&bytes).expect("restore must succeed");
-    restored.set_plan_mode(mode);
     restored.set_driver_threads(threads);
     let cp_step = restored.current_step();
     assert!((8..=20).contains(&cp_step), "checkpoint step {cp_step}");
@@ -48,7 +41,6 @@ fn assert_restore_bit_identical(
     // The uninterrupted twin: same build, same steps, no checkpointing
     // (the checkpoint itself must not perturb physics).
     let mut twin = Cluster::new(MESH, cfg, variant);
-    twin.set_plan_mode(mode);
     twin.set_driver_threads(threads);
     twin.run(cp_step);
 
@@ -64,7 +56,7 @@ fn assert_restore_bit_identical(
     );
     assert!(
         report.is_clean(),
-        "restore diverged (variant {variant:?}, mode {mode:?}, threads {threads}):\n{}",
+        "restore diverged (variant {variant:?}, threads {threads}):\n{}",
         report.render()
     );
 }
@@ -72,37 +64,27 @@ fn assert_restore_bit_identical(
 #[test]
 fn restored_run_is_bit_identical_opt_variant() {
     for threads in [1usize, 2, 8] {
-        assert_restore_bit_identical(
-            RunConfig::lj(4_000),
-            CommVariant::Opt,
-            PlanMode::Dag,
-            threads,
-        );
+        assert_restore_bit_identical(RunConfig::lj(4_000), CommVariant::Opt, threads);
     }
-    assert_restore_bit_identical(RunConfig::lj(4_000), CommVariant::Opt, PlanMode::Barrier, 2);
 }
 
 #[test]
 fn restored_run_is_bit_identical_mpi_p2p_variant() {
     for threads in [1usize, 2, 8] {
-        assert_restore_bit_identical(
-            RunConfig::lj(4_000),
-            CommVariant::MpiP2p,
-            PlanMode::Dag,
-            threads,
-        );
+        assert_restore_bit_identical(RunConfig::lj(4_000), CommVariant::MpiP2p, threads);
     }
-    assert_restore_bit_identical(
-        RunConfig::lj(4_000),
-        CommVariant::MpiP2p,
-        PlanMode::Barrier,
-        2,
-    );
+}
+
+/// The reference variant always runs the no-overlap DAG shape, so this
+/// pins restore on the back-to-back op path.
+#[test]
+fn restored_run_is_bit_identical_ref_variant() {
+    assert_restore_bit_identical(RunConfig::lj(4_000), CommVariant::Ref, 2);
 }
 
 #[test]
 fn restored_run_is_bit_identical_on_rcb() {
-    assert_restore_bit_identical(rcb_cfg(4_000), CommVariant::MpiP2p, PlanMode::Dag, 2);
+    assert_restore_bit_identical(rcb_cfg(4_000), CommVariant::MpiP2p, 2);
 }
 
 #[test]

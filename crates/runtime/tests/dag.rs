@@ -1,17 +1,11 @@
-//! DAG-plan equivalence suite (DESIGN.md §12): the overlap DAG must
-//! produce **bit-identical physics** to the barrier plan at every thread
-//! count, across all engine variants and both potentials — including
-//! rebuild steps (where the split is geometric), mid-run thread-count
-//! changes, and a faulted run that demotes mid-overlap.
-//!
-//! The fingerprint deliberately excludes virtual clocks: shrinking comm
-//! waits is the DAG's entire purpose, so clocks legitimately differ
-//! between the plans. Everything an MD user can observe — trajectories,
-//! forces, energies, thermo history — must not.
+//! Step-DAG suite (DESIGN.md §12) over the public surface: a mid-run
+//! driver thread-count change must not perturb the trajectory, and every
+//! p2p variant must hide comm time on the Fig. 6 configuration. The
+//! overlap ≡ no-overlap equivalence proofs need the step function's
+//! private no-overlap shape, so they live in the runtime crate's own
+//! unit tests (`cluster_overlap_tests.rs`).
 
-use tofumd_core::engine::Op;
-use tofumd_runtime::{Cluster, CommVariant, PlanMode, RunConfig};
-use tofumd_tofu::{FaultKind, FaultPlan, FaultRule};
+use tofumd_runtime::{Cluster, CommVariant, RunConfig};
 
 const MESH: [u32; 3] = [2, 3, 2]; // 12 nodes, 48 ranks
 
@@ -40,78 +34,9 @@ fn physics_fingerprint(c: &Cluster) -> Vec<u64> {
     bits
 }
 
-fn run_mode(
-    cfg: RunConfig,
-    variant: CommVariant,
-    mode: PlanMode,
-    threads: usize,
-    steps: u64,
-) -> Vec<u64> {
-    let mut c = Cluster::new(MESH, cfg, variant);
-    c.set_plan_mode(mode);
-    c.set_driver_threads(threads);
-    c.set_thermo_every(2);
-    c.run(steps);
-    assert_eq!(c.plan_mode(), mode);
-    physics_fingerprint(&c)
-}
-
-/// The headline contract: DAG ≡ barrier bit-for-bit at threads {1, 2, 8}
-/// across all five step-by-step variants and both potentials. Variants or
-/// potentials that cannot overlap run the degenerate DAG and must match
-/// trivially; overlapping ones must match through the split kernels.
-#[test]
-fn dag_matches_barrier_bit_for_bit() {
-    for (cfg, steps, label) in [
-        (RunConfig::lj(4000), 8, "lj"),
-        (RunConfig::eam(4000), 6, "eam"),
-    ] {
-        for variant in CommVariant::STEP_BY_STEP {
-            let barrier = run_mode(cfg, variant, PlanMode::Barrier, 1, steps);
-            for threads in [1, 2, 8] {
-                let dag = run_mode(cfg, variant, PlanMode::Dag, threads, steps);
-                assert_eq!(
-                    dag,
-                    barrier,
-                    "{label}/{}: DAG@{threads} threads diverged from barrier",
-                    variant.label()
-                );
-            }
-        }
-    }
-}
-
-/// Crossing a reneighbor step exercises the geometric split: interior
-/// list build + interior pair logging ride inside the Border window.
-#[test]
-fn dag_rebuild_steps_match_barrier() {
-    for variant in [CommVariant::Opt, CommVariant::Utofu6TniP2p] {
-        let barrier = run_mode(RunConfig::lj(4000), variant, PlanMode::Barrier, 1, 22);
-        for threads in [1, 8] {
-            let dag = run_mode(RunConfig::lj(4000), variant, PlanMode::Dag, threads, 22);
-            assert_eq!(
-                dag,
-                barrier,
-                "{}: rebuild-crossing DAG@{threads} diverged",
-                variant.label()
-            );
-        }
-    }
-    // EAM rebuild path: density + force passes both split.
-    let barrier = run_mode(
-        RunConfig::eam(4000),
-        CommVariant::Opt,
-        PlanMode::Barrier,
-        1,
-        12,
-    );
-    let dag = run_mode(RunConfig::eam(4000), CommVariant::Opt, PlanMode::Dag, 8, 12);
-    assert_eq!(dag, barrier, "eam rebuild-crossing DAG diverged");
-}
-
-/// Changing the driver thread count mid-run under the DAG plan must not
-/// perturb the trajectory (the team swap keeps the node partition and
-/// the DAG's execution order is thread-independent).
+/// Changing the driver thread count mid-run must not perturb the
+/// trajectory (the team swap keeps the node partition and the DAG's
+/// execution order is thread-independent).
 #[test]
 fn dag_thread_count_can_change_mid_run() {
     let mut a = Cluster::new(MESH, RunConfig::eam(4000), CommVariant::Opt);
@@ -124,41 +49,10 @@ fn dag_thread_count_can_change_mid_run() {
     assert_eq!(physics_fingerprint(&a), physics_fingerprint(&b));
 }
 
-/// A permanent Forward drop exhausts the retry budget inside an overlap
-/// window; the cluster must demote to the 3-stage reference mid-run and
-/// still match the barrier plan's faulted trajectory bit-for-bit (fault
-/// decisions key on (step, op, src, dst, tni) — never on clocks).
-#[test]
-fn faulted_demotion_mid_overlap_matches_barrier() {
-    let unrecoverable = || {
-        FaultPlan::new().with_rule(FaultRule {
-            step: Some(2),
-            op: Some(Op::Forward.index() as u8),
-            src: Some(7),
-            ..FaultRule::any(FaultKind::Drop { times: u32::MAX })
-        })
-    };
-    let cfg = RunConfig::lj(4000);
-    let run = |mode: PlanMode| {
-        let mut c = Cluster::with_fault_plan(MESH, cfg, CommVariant::Opt, unrecoverable());
-        c.set_plan_mode(mode);
-        c.set_thermo_every(2);
-        c.run(10);
-        assert!(c.demoted(), "{mode:?}: drop must exhaust retries");
-        assert_eq!(c.variant(), CommVariant::Ref);
-        physics_fingerprint(&c)
-    };
-    assert_eq!(
-        run(PlanMode::Dag),
-        run(PlanMode::Barrier),
-        "faulted+demoted DAG trajectory diverged from barrier"
-    );
-}
-
 /// The overlap metric: on the Fig. 6 strong-scaling configuration every
 /// p2p variant must hide a strictly positive amount of comm time behind
-/// interior compute, the reference (and the barrier plan) must hide
-/// none, and the trace report must carry the Overlap column.
+/// interior compute, the reference must hide none, and the trace report
+/// must carry the Overlap column.
 #[test]
 fn p2p_variants_overlap_comm_on_fig06_config() {
     for variant in [
@@ -183,14 +77,9 @@ fn p2p_variants_overlap_comm_on_fig06_config() {
         );
         assert!(trace.report().contains("Overlap"));
     }
-    // The reference variant cannot overlap; the barrier plan must not.
+    // The reference variant cannot overlap.
     let mut rf = Cluster::new(MESH, RunConfig::lj(65_536), CommVariant::Ref);
     rf.reset_timers();
     rf.run_traced(12);
     assert_eq!(rf.overlapped_total(), 0.0);
-    let mut bar = Cluster::new(MESH, RunConfig::lj(65_536), CommVariant::Opt);
-    bar.set_plan_mode(PlanMode::Barrier);
-    bar.reset_timers();
-    bar.run_traced(12);
-    assert_eq!(bar.overlapped_total(), 0.0);
 }

@@ -3,13 +3,12 @@
 //! `mpi-extend` lets ranks query their physical coordinates (§3.5.3).
 
 use crate::topology::{CellGrid, CELL_DIMS};
-use serde::{Deserialize, Serialize};
 
 /// Nodes per shelf: 2 x 3 x 8 = 48.
 pub const SHELF_NODES: usize = 48;
 
 /// A validated job allocation: a rectangular node mesh on the torus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobAllocation {
     /// The cell grid backing the allocation.
     pub grid: CellGrid,

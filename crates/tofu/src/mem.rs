@@ -9,11 +9,10 @@
 //! max-size buffer design.
 
 use crate::timing::NetParams;
-use serde::{Deserialize, Serialize};
 
 /// A registered-region handle (the uTofu "STADD", a network-visible
 /// address). Valid only on the node that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Stadd(pub u32);
 
 /// Per-node registry of RDMA-visible memory regions.

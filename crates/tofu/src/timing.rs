@@ -8,12 +8,10 @@
 //! bandwidth term. Message blocking inside the network is ignored for
 //! small messages, as the paper assumes.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing constants of the simulated TofuD network + software stacks.
 ///
 /// All times in seconds, bandwidths in bytes/second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetParams {
     /// Zero-hop RDMA put latency: 0.49 us ("communication functions of
     /// RDMA PUT/GET with minimal latency of 0.49us", §2.2).

@@ -8,13 +8,11 @@
 //! 36,864) arise, and how MPI ranks are mapped onto physical neighbors by
 //! the topo-map optimization (§3.5.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Intra-cell extents of the a/b/c dimensions: 2 x 3 x 2 = 12 nodes/cell.
 pub const CELL_DIMS: [u32; 3] = [2, 3, 2];
 
 /// A node's six-dimensional TofuD coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TofuCoord {
     /// Cell coordinate along the X/Y/Z tori.
     pub cell: [u32; 3],
@@ -29,7 +27,7 @@ pub struct TofuCoord {
 /// onto each mesh axis: the scheduler is free to permute the assignment, and
 /// the paper's 24 x 32 x 24 mesh for 18,432 nodes requires the "3" on the
 /// first axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellGrid {
     /// Number of cells along X, Y, Z.
     pub cells: [u32; 3],
